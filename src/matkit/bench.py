@@ -83,12 +83,18 @@ class Prng:
         return NumArray(dims, out[:n])
 
     def randint(self, lo: int, hi: int, dims) -> NumArray:
-        """Integers uniform over lo..hi inclusive (rejection sampling)."""
+        """Integers uniform over lo..hi inclusive (rejection sampling).
+
+        The spread hi - lo + 1 may be at most 2**53, the most consecutive
+        integers a float64 result holds exactly.
+        """
         if lo > hi:
             raise ArgumentError(f"randint needs lo <= hi, got {lo} > {hi}")
+        spread = int(hi) - int(lo) + 1
+        if spread > 1 << 53:
+            raise ArgumentError(f"randint spread {spread} exceeds 2**53")
         dims = normalize_dims(dims)
         n = numel_of(dims)
-        spread = int(hi) - int(lo) + 1
         remainder = (1 << 64) % spread
         accepted: list = []
         need = n

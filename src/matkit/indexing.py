@@ -52,6 +52,8 @@ class Span:
     __slots__ = ("start", "stop", "step")
 
     def __init__(self, start, stop, step=1):
+        if not float(step).is_integer():
+            raise ArgumentError(f"span step must be an integer, got {step!r}")
         step = int(step)
         if step == 0:
             raise ArgumentError("span step must be nonzero")

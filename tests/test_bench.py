@@ -51,6 +51,16 @@ def test_randint_inclusive_range():
         Prng(6).randint(5, 4, (1, 1))
 
 
+def test_randint_rejects_spread_beyond_float64_integers():
+    # a 2**64 spread made the rejection threshold 0 and never returned;
+    # 2**64 - 1 overflowed uint64 with a raw OverflowError
+    for hi in (2**64, 2**64 - 1, 2**53):
+        with pytest.raises(ArgumentError, match="2\\*\\*53"):
+            Prng(6).randint(0, hi, (1, 4))
+    r = Prng(6).randint(0, 2**53 - 1, (1, 1000))
+    assert np.all(r.buf == np.floor(r.buf)) and r.buf.max() < 2.0**53
+
+
 def test_normal_sample_statistics():
     z = Prng(7).normal((1, 100000))
     assert abs(z.buf.mean()) < 0.02

@@ -6,6 +6,7 @@ import pytest
 from matkit import (
     ALL,
     END,
+    ArgumentError,
     IndexBoundsError,
     IndexExpr,
     NumArray,
@@ -62,6 +63,14 @@ def test_getitem_sugar():
     m = magic(4)
     assert_exact(m[span(3, 7)], [[9, 4, 2, 11, 7]])
     assert_exact(m[3, ALL], [[9, 7, 6, 12]])
+
+
+def test_span_rejects_fractional_step():
+    with pytest.raises(ArgumentError, match="integer"):
+        span(1, 4, 1.5)
+    with pytest.raises(ArgumentError):
+        span(1, 4, 0)
+    assert_exact(magic(4)[span(1, 4, 2.0)], [[16, 9]])
 
 
 def test_extract_bounds_error_names_dimension():

@@ -7,6 +7,8 @@ import pytest
 
 from matkit import (
     ArgumentError,
+    ConvergenceError,
+    EigResult,
     ShapeError,
     SingularMatrixError,
     dctmtx,
@@ -22,6 +24,7 @@ from matkit import (
     zeros,
 )
 from matkit.core import wrap_ndarray
+from matkit.linalg import _round_robin
 
 from helpers import assert_close, assert_exact, max_abs_diff
 
@@ -119,6 +122,15 @@ def test_eig_diagonal():
     e = eig_sym(from_rows([[2, 0], [0, 3]]))
     assert_exact(e.values, [[2], [3]])
     assert_exact(e.vectors, np.eye(2))
+    # an unsorted diagonal comes back exactly: sorted values, permuted basis
+    diag = np.array([3.0, -1.5, 0.25, 7.0, -1.5])
+    e = eig_sym(wrap_ndarray(np.diag(diag)))
+    order = np.argsort(diag, kind="stable")
+    assert_exact(e.values, diag[order].reshape(-1, 1))
+    assert_exact(e.vectors, np.eye(diag.size)[:, order])
+    v = e.vectors.view()
+    assert np.array_equal(v @ np.diag(e.values.buf) @ v.T, np.diag(diag))
+    assert (e.sweeps, e.off_norm) == (0, 0.0)
 
 
 def test_eig_analytic_2x2():
@@ -155,6 +167,78 @@ def test_eig_sign_normalization():
 def test_eig_rejects_asymmetric():
     with pytest.raises(ArgumentError):
         eig_sym(from_rows([[1, 2], [0, 1]]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eig_rejects_non_finite():
+    with pytest.raises(ArgumentError, match="NaN or inf"):
+        eig_sym(from_rows([[1, math.inf], [math.inf, 2]]))
+    with pytest.raises(ArgumentError, match="NaN or inf"):
+        eig_sym(from_rows([[1, 0], [0, math.nan]]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 8, 40])
+def test_round_robin_schedule_covers_each_pair_once(d):
+    rounds = _round_robin(d)
+    assert len(rounds) == d - 1 + d % 2
+    seen = []
+    for p, q in rounds:
+        assert np.all(p < q) and np.all(q < d)
+        members = np.concatenate((p, q))
+        assert np.unique(members).size == members.size  # disjoint pairs
+        seen += list(zip(p.tolist(), q.tolist()))
+    assert sorted(seen) == [(p, q) for p in range(d) for q in range(p + 1, d)]
+
+
+def _random_symmetric(d, seed):
+    raw = np.random.default_rng(seed).standard_normal((d, d))
+    return (raw + raw.T) / 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 40, 80])
+def test_eig_matches_scipy_eigh(d):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    s = _random_symmetric(d, 47 + d)
+    e = eig_sym(wrap_ndarray(s))
+    v, vals = e.vectors.view(), e.values.buf
+    norm = np.abs(s).sum(axis=1).max()
+    assert np.abs(vals - scipy_linalg.eigh(s)[0]).max() <= 1e-9 * norm
+    assert np.abs(v.T @ v - np.eye(d)).max() <= 1e-12
+    assert np.abs(s @ v - v * vals[None, :]).max() <= 1e-9 * norm
+    assert e.off_norm <= 1e-12 * norm
+    assert e.sweeps >= (1 if d > 1 else 0)
+
+
+def test_eig_degenerate_spectra():
+    d = 6
+    for s, expect in [
+        (np.zeros((d, d)), np.zeros(d)),
+        (np.eye(d), np.ones(d)),
+    ]:
+        e = eig_sym(wrap_ndarray(s))
+        assert_exact(e.values, expect.reshape(d, 1))
+        assert_exact(e.vectors, np.eye(d))
+        assert (e.sweeps, e.off_norm) == (0, 0.0)
+    u = np.arange(1.0, d + 1)
+    s = np.eye(d) + np.outer(u, u)
+    e = eig_sym(wrap_ndarray(s))
+    v, vals = e.vectors.view(), e.values.buf
+    expect = np.r_[np.ones(d - 1), 1.0 + u @ u]
+    assert np.abs(vals - expect).max() <= 1e-12 * np.abs(s).sum(axis=1).max()
+    assert np.abs(v.T @ v - np.eye(d)).max() <= 1e-12
+    assert np.abs(np.abs(v[:, -1]) - u / np.linalg.norm(u)).max() <= 1e-12
+
+
+def test_eig_sweep_cap_raises():
+    s = wrap_ndarray(_random_symmetric(10, 48))
+    with pytest.raises(ConvergenceError, match="exceeded 1 "):
+        eig_sym(s, max_sweeps=1)
+    assert eig_sym(s).sweeps > 1
+
+
+def test_eig_result_diagnostics_default():
+    e = EigResult(vectors=zeros((1, 1)), values=zeros((1, 1)))
+    assert (e.sweeps, e.off_norm) == (0, 0.0)
 
 
 # --- DCT basis ---
