@@ -96,7 +96,7 @@ class Prng:
         dims = normalize_dims(dims)
         n = numel_of(dims)
         remainder = (1 << 64) % spread
-        accepted: list = []
+        accepted = [np.empty(0, dtype=np.uint64)]
         need = n
         while need > 0:
             raw = self._raw(max(need, 16))

@@ -48,6 +48,25 @@ def normalize_dims(dims) -> tuple:
     return tuple(out)
 
 
+def _check_rank2(a, who: str):
+    """The one rank guard: a (NumArray or BoolMask) must be a matrix."""
+    if len(a.dims) != 2:
+        raise ShapeError(f"{who} needs a rank-2 array, got {a.dims}")
+
+
+def _check_dim(dim, who: str, allowed=(1, 2)):
+    """The one dim guard: dim must be one of the allowed dimensions."""
+    if dim not in allowed:
+        raise ArgumentError(f"{who} dim must be one of {allowed}, got {dim!r}")
+
+
+def _integral(k, what: str) -> int:
+    """A 1-based subscript as an int; a fractional, NaN or inf one is refused."""
+    if not float(k).is_integer():
+        raise ArgumentError(f"{what} {k!r} is not an integer")
+    return int(k)
+
+
 def numel_of(dims) -> int:
     n = 1
     for d in dims:
@@ -106,7 +125,7 @@ class NumArray:
     def at(self, *subs) -> float:
         """Scalar element access, 1-based: at(k) linear or at(i, j, ...)."""
         if len(subs) == 1:
-            k = subs[0]
+            k = _integral(subs[0], "linear index")
             if not 1 <= k <= self.numel:
                 raise IndexBoundsError(f"linear index {k} out of range 1..{self.numel}")
             return float(self.buf[k - 1])
@@ -311,6 +330,8 @@ def colon_range(start, step, stop) -> NumArray:
     """Range row vector start:step:stop; empty 1x0 when direction is inconsistent."""
     if step == 0:
         raise ArgumentError("range step must be nonzero")
+    if not all(math.isfinite(float(x)) for x in (start, step, stop)):
+        raise ArgumentError(f"range {start}:{step}:{stop} needs finite start, step and stop")
     q = (float(stop) - float(start)) / float(step)
     if q < 0:
         n = 0
@@ -377,8 +398,7 @@ def ipermute(a: NumArray, order) -> NumArray:
 
 def flipud(a: NumArray) -> NumArray:
     """Reverse the row order; same as indexing rows with m:-1:1."""
-    if a.rank != 2:
-        raise ShapeError(f"flipud needs a rank-2 array, got {a.dims}")
+    _check_rank2(a, "flipud")
     return wrap_ndarray(a.view()[::-1, :])
 
 
@@ -390,6 +410,7 @@ def sub2ind(dims, subs) -> int:
     k = 0
     stride = 1
     for sub, extent in zip(subs, dims):
+        sub = _integral(sub, "subscript")
         if not 1 <= sub <= extent:
             raise IndexBoundsError(f"subscript {sub} out of range 1..{extent}")
         k += (sub - 1) * stride
@@ -400,6 +421,7 @@ def sub2ind(dims, subs) -> int:
 def ind2sub(dims, k: int) -> tuple:
     """Column-major 1-based linear index -> subscripts."""
     dims = tuple(dims)
+    k = _integral(k, "linear index")
     if not 1 <= k <= numel_of(dims):
         raise IndexBoundsError(f"linear index {k} out of range 1..{numel_of(dims)}")
     rem = k - 1
@@ -412,8 +434,7 @@ def ind2sub(dims, k: int) -> tuple:
 
 def cat(dim: int, arrays) -> NumArray:
     """Concatenate along dim (1 = stack rows, 2 = glue columns)."""
-    if dim not in (1, 2):
-        raise ArgumentError(f"cat dim must be 1 or 2, got {dim}")
+    _check_dim(dim, "cat")
     arrays = list(arrays)
     if not arrays:
         raise ArgumentError("cat needs at least one array")
@@ -433,8 +454,7 @@ def repmat(a: NumArray, reps_rows: int, reps_cols: int) -> NumArray:
     """Tile the whole array reps_rows x reps_cols times."""
     if reps_rows <= 0 or reps_cols <= 0:
         raise ArgumentError("repmat counts must be positive")
-    if a.rank != 2:
-        raise ShapeError("repmat here is rank-2 only")
+    _check_rank2(a, "repmat")
     return wrap_ndarray(np.tile(a.view(), (reps_rows, reps_cols)))
 
 
@@ -453,18 +473,9 @@ def repelems(a: NumArray, counts) -> NumArray:
 
 def circshift(a: NumArray, k: int, dim: int) -> NumArray:
     """Circularly shift elements by k along dim; shifting by the extent is identity."""
-    if dim not in (1, 2):
-        raise ArgumentError(f"circshift dim must be 1 or 2, got {dim}")
-    if a.rank != 2:
-        raise ShapeError("circshift here is rank-2 only")
+    _check_dim(dim, "circshift")
+    _check_rank2(a, "circshift")
     return wrap_ndarray(np.roll(a.view(), int(k), axis=dim - 1))
-
-
-def _slice_sort_perm(x: np.ndarray, descending: bool) -> np.ndarray:
-    # Stable order with NaN always last; lexsort's last key is primary.
-    nan = np.isnan(x)
-    key = -x if descending else x
-    return np.lexsort((key, nan))
 
 
 def sort_along_dim(a: NumArray, dim: int, direction: str = "asc"):
@@ -474,26 +485,15 @@ def sort_along_dim(a: NumArray, dim: int, direction: str = "asc"):
     taking a's elements at perm reconstructs sorted. Stable, hence ties and
     already-sorted input give the identity permutation.
     """
-    if dim not in (1, 2):
-        raise ArgumentError(f"sort dim must be 1 or 2, got {dim}")
+    _check_dim(dim, "sort")
     if direction not in ("asc", "desc"):
         raise ArgumentError(f"direction must be 'asc' or 'desc', got {direction!r}")
-    if a.rank != 2:
-        raise ShapeError("sort here is rank-2 only")
+    _check_rank2(a, "sort")
     v = a.view()
-    out = np.empty_like(v)
-    perm = np.empty(v.shape, dtype=np.float64)
-    if dim == 1:
-        for j in range(v.shape[1]):
-            p = _slice_sort_perm(v[:, j], direction == "desc")
-            out[:, j] = v[p, j]
-            perm[:, j] = p + 1
-    else:
-        for i in range(v.shape[0]):
-            p = _slice_sort_perm(v[i, :], direction == "desc")
-            out[i, :] = v[i, p]
-            perm[i, :] = p + 1
-    return wrap_ndarray(out), wrap_ndarray(perm)
+    key = -v if direction == "desc" else v
+    # Stable order with NaN always last; lexsort's last key is primary.
+    p = np.lexsort((key, np.isnan(v)), axis=dim - 1)
+    return wrap_ndarray(np.take_along_axis(v, p, dim - 1)), wrap_ndarray(p + 1.0)
 
 
 def unique_sorted(a: NumArray) -> NumArray:
@@ -504,10 +504,8 @@ def unique_sorted(a: NumArray) -> NumArray:
 
 def diff_adjacent(a: NumArray, dim: int) -> NumArray:
     """Moving difference along dim: each element becomes successor - element."""
-    if dim not in (1, 2):
-        raise ArgumentError(f"diff dim must be 1 or 2, got {dim}")
-    if a.rank != 2:
-        raise ShapeError("diff here is rank-2 only")
+    _check_dim(dim, "diff")
+    _check_rank2(a, "diff")
     if a.dims[dim - 1] < 1:
         raise ArgumentError("diff needs extent >= 1 along dim")
     return wrap_ndarray(np.diff(a.view(), axis=dim - 1))

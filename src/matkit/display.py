@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BoolMask, NumArray
-from .errors import ArgumentError, ShapeError
+from .core import BoolMask, NumArray, _check_rank2
+from .errors import ArgumentError
 
 
 def format_int_matrix(a: NumArray) -> str:
     """Render an integer-valued rank-2 array, one text line per row."""
-    if a.rank != 2:
-        raise ShapeError(f"can only render rank-2 arrays, got {a.dims}")
+    _check_rank2(a, "format_int_matrix")
     v = a.view()
     if v.size and not np.all(np.isfinite(v) & (v == np.floor(v))):
         raise ArgumentError("matrix has non-integer entries; integer rendering only")
@@ -27,7 +26,6 @@ def format_int_matrix(a: NumArray) -> str:
 
 def format_mask(mask: BoolMask) -> str:
     """Render a logical mask as 0/1 cells of width 3."""
-    if len(mask.dims) != 2:
-        raise ShapeError(f"can only render rank-2 masks, got {mask.dims}")
+    _check_rank2(mask, "format_mask")
     v = mask.view()
     return "\n".join("".join(("1" if x else "0").rjust(3) for x in row) for row in v)

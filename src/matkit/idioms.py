@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 from typing import Callable, Tuple
 
-from .core import NumArray, from_rows, colon_range, flipud, permute, reshape, wrap_ndarray, zeros
+from .core import (
+    NumArray, _check_rank2, colon_range, flipud, from_rows, permute, reshape, wrap_ndarray, zeros,
+)
 from .errors import ArgumentError, ContractError, ShapeError
 from .indexing import ALL, END, IndexExpr, assign_indexed, delete_elements, extract, isnan_mask, span
 from .linalg import EigResult, dctmtx, eig_sym, matmul, spdiags_extract
@@ -32,11 +34,6 @@ _VARIANTS = ("loop", "vectorized")
 def _check_variant(variant: str):
     if variant not in _VARIANTS:
         raise ArgumentError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-
-
-def _check_rank2(m: NumArray, who: str):
-    if m.rank != 2:
-        raise ShapeError(f"{who} needs a rank-2 array, got {m.dims}")
 
 
 # -- matrix scans -----------------------------------------------------------
@@ -211,7 +208,8 @@ def nearest_neighbor(x: NumArray, y: NumArray, metric: MetricFn) -> Tuple[NumArr
 
     Ties go to the lowest index. Returns (idx, d) as nx1 columns.
     """
-    if y.rank != 2 or y.rows < 1:
+    _check_rank2(y, "nearest_neighbor")
+    if y.rows < 1:
         raise ArgumentError("nearest_neighbor needs a non-empty reference set")
     dist = metric(x, y)
     values, indices = extremum("min", dist, 2)
@@ -298,25 +296,24 @@ def blockproc(a: NumArray, block_shape, f: Callable[[NumArray], NumArray]) -> Nu
     return wrap_ndarray(out)
 
 
-def dct2d(x: NumArray, t: NumArray = None) -> NumArray:
-    """2-D DCT of a square block: T X T'. Pass t to pin the basis order."""
-    _check_rank2(x, "dct2d")
+def _dct_sandwich(x: NumArray, t, who: str, inverse: bool) -> NumArray:
+    """T X T' (forward) or T' X T (inverse) for a square block x."""
+    _check_rank2(x, who)
     if x.rows != x.cols:
-        raise ShapeError(f"dct2d needs a square block, got {x.dims}")
+        raise ShapeError(f"{who} needs a square block, got {x.dims}")
     if t is None:
         t = dctmtx(x.rows)
     elif t.dims != x.dims:
         raise ShapeError(f"block {x.dims} does not match transform order {t.dims}")
-    return matmul(matmul(t, x), t.T)
+    left, right = (t.T, t) if inverse else (t, t.T)
+    return matmul(matmul(left, x), right)
+
+
+def dct2d(x: NumArray, t: NumArray = None) -> NumArray:
+    """2-D DCT of a square block: T X T'. Pass t to pin the basis order."""
+    return _dct_sandwich(x, t, "dct2d", inverse=False)
 
 
 def idct2d(y: NumArray, t: NumArray = None) -> NumArray:
     """Inverse 2-D DCT: T' Y T; exact round trip with dct2d up to rounding."""
-    _check_rank2(y, "idct2d")
-    if y.rows != y.cols:
-        raise ShapeError(f"idct2d needs a square block, got {y.dims}")
-    if t is None:
-        t = dctmtx(y.rows)
-    elif t.dims != y.dims:
-        raise ShapeError(f"block {y.dims} does not match transform order {t.dims}")
-    return matmul(matmul(t.T, y), t)
+    return _dct_sandwich(y, t, "idct2d", inverse=True)

@@ -57,6 +57,9 @@ class Span:
         step = int(step)
         if step == 0:
             raise ArgumentError("span step must be nonzero")
+        for end in (start, stop):
+            if not isinstance(end, End) and not float(end).is_integer():
+                raise ArgumentError(f"span endpoint must be an integer, got {end!r}")
         self.start = start
         self.stop = stop
         self.step = step
@@ -77,7 +80,7 @@ def span(start, stop, step=1) -> Span:
 
 
 def _resolve_selector(sel, extent: int, what: str) -> np.ndarray:
-    """Selector -> 0-based positions; raises with the offending index."""
+    """Selector -> 0-based positions; raises naming the first offending index."""
     if sel is ALL:
         return np.arange(extent, dtype=np.intp)
     if isinstance(sel, Span):
@@ -85,20 +88,27 @@ def _resolve_selector(sel, extent: int, what: str) -> np.ndarray:
     elif isinstance(sel, End):
         idx = [sel.resolve(extent)]
     elif isinstance(sel, (int, np.integer)) and not isinstance(sel, bool):
-        idx = [int(sel)]
+        idx = [sel]
     elif isinstance(sel, (list, tuple)):
-        idx = [s.resolve(extent) if isinstance(s, End) else int(s) for s in sel]
+        idx = [s.resolve(extent) if isinstance(s, End) else s for s in sel]
     elif isinstance(sel, NumArray):
-        vals = sel.buf
-        if vals.size and not np.all(vals == np.floor(vals)):
-            raise ArgumentError(f"{what}: array index values must be integral")
-        idx = vals.astype(np.int64).tolist()
+        idx = sel.buf
     else:
         raise ArgumentError(f"{what}: unsupported selector {sel!r}")
-    for k in idx:
-        if not 1 <= k <= extent:
-            raise IndexBoundsError(f"{what}: index {k} out of range 1..{extent}")
-    return np.asarray(idx, dtype=np.intp) - 1
+    try:
+        vals = np.asarray(idx, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise ArgumentError(f"{what}: unsupported selector {sel!r}") from None
+    fractional = vals != np.floor(vals)  # NaN is fractional too
+    bad = fractional | (vals < 1) | (vals > extent)
+    if bad.any():
+        k = int(np.argmax(bad))
+        v = float(vals[k])
+        if fractional[k]:
+            raise ArgumentError(f"{what}: index {v} is not an integer")
+        shown = int(v) if v.is_integer() else v
+        raise IndexBoundsError(f"{what}: index {shown} out of range 1..{extent}")
+    return vals.astype(np.intp) - 1
 
 
 class IndexExpr:
@@ -165,6 +175,17 @@ def _is_vector(a: NumArray) -> bool:
     return a.rank == 2 and (a.rows <= 1 or a.cols <= 1)
 
 
+def _is_scalar_rhs(rhs) -> bool:
+    """True for a scalar rhs, False for a NumArray; anything else is refused."""
+    if isinstance(rhs, (int, float, np.floating, np.integer)):
+        return True
+    if not isinstance(rhs, NumArray):
+        raise ArgumentError(
+            f"assignment rhs must be a NumArray or a scalar, got {type(rhs).__name__}"
+        )
+    return False
+
+
 def assign_indexed(a: NumArray, ix: IndexExpr, rhs) -> NumArray:
     """Replace the selected cells, returning a new array.
 
@@ -173,7 +194,7 @@ def assign_indexed(a: NumArray, ix: IndexExpr, rhs) -> NumArray:
     with zero fill (rows stay rows, columns stay columns); matrices never
     auto-grow.
     """
-    scalar_rhs = isinstance(rhs, (int, float, np.floating, np.integer))
+    scalar_rhs = _is_scalar_rhs(rhs)
     if ix.is_linear:
         sel = ix.linear_sel
         if (
@@ -252,7 +273,7 @@ def logical_assign(a: NumArray, mask: BoolMask, rhs) -> NumArray:
     if mask.numel != a.numel:
         raise ShapeError(f"mask numel {mask.numel} != array numel {a.numel}")
     buf = a.buf.copy()
-    if isinstance(rhs, (int, float, np.floating, np.integer)):
+    if _is_scalar_rhs(rhs):
         buf[mask.bits] = float(rhs)
     else:
         k = mask.count()

@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumArray, wrap_ndarray
+from .core import NumArray, _check_rank2, wrap_ndarray
 from .errors import ArgumentError, ConvergenceError, ShapeError, SingularMatrixError
 
 
 def matmul(a: NumArray, b: NumArray) -> NumArray:
     """Standard matrix product; inner accumulation in ascending-k order."""
-    if a.rank != 2 or b.rank != 2:
-        raise ShapeError("matmul needs rank-2 operands")
+    _check_rank2(a, "matmul")
+    _check_rank2(b, "matmul")
     if a.cols != b.rows:
         raise ShapeError(f"matmul inner dims differ: {a.dims} by {b.dims}")
     va, vb = a.view(), b.view()
@@ -211,8 +211,7 @@ class DiagBand:
 
 def spdiags_extract(a: NumArray) -> DiagBand:
     """Arrange every diagonal of a rank-2 array as a band-matrix column."""
-    if a.rank != 2:
-        raise ShapeError(f"spdiags_extract needs a rank-2 array, got {a.dims}")
+    _check_rank2(a, "spdiags_extract")
     m, n = a.dims
     v = a.view()
     rows = min(m, n)

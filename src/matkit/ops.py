@@ -1,9 +1,12 @@
 """Broadcasting, elementwise arithmetic/comparison, reductions, and merge.
 
-Shapes of different rank are aligned by padding the shorter one with
-singleton dimensions on the right (so a 1x3 row against an hxwx3 volume
-needs an explicit permute first, exactly like the source notation). A
-singleton dimension is repeated without materializing copies.
+Every broadcasting operation (arithmetic, comparison, merge, mask algebra
+and apply_broadcast) goes through one path, _broadcast_apply: the result
+shape is folded over the operands by the singleton-expansion rule, and
+operands of lower rank are aligned by padding their views with singleton
+dimensions on the right (so a 1x3 row against an hxwx3 volume needs an
+explicit permute first, exactly like the source notation). A singleton
+dimension is repeated without materializing copies.
 
 Reductions accumulate in ascending index order, deliberately: no pairwise or
 compensated summation, so a vectorized sum is bit-for-bit equal to the naive
@@ -14,34 +17,26 @@ freely by the backend; reductions stay sequential per slice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable
 
 import numpy as np
 
-from .core import BoolMask, NumArray, normalize_dims, wrap_ndarray
-from .errors import ArgumentError, BroadcastError, ShapeError
+from .core import BoolMask, NumArray, _check_dim, _check_rank2, normalize_dims
+from .errors import ArgumentError, BroadcastError
 
 
 @dataclass(frozen=True)
 class BroadcastPlan:
-    """Result shape plus, per operand and dimension, whether it advances.
-
-    An operand advances along a dimension when its extent is larger than 1
-    there; extent-1 dimensions repeat their single slice instead.
-    """
+    """Result shape of a broadcast; extent-1 dimensions repeat their slice."""
 
     result_dims: tuple
-    advances: tuple  # one tuple of bools per operand
 
 
 def broadcast_shapes(a_dims, b_dims) -> BroadcastPlan:
     """Combine two shapes under the singleton-expansion rule."""
-    a_dims, b_dims = tuple(a_dims), tuple(b_dims)
-    rank = max(len(a_dims), len(b_dims))
-    a_ext = a_dims + (1,) * (rank - len(a_dims))
-    b_ext = b_dims + (1,) * (rank - len(b_dims))
     out = []
-    for t, (da, db) in enumerate(zip(a_ext, b_ext)):
+    for t, (da, db) in enumerate(zip_longest(a_dims, b_dims, fillvalue=1)):
         if da == db:
             out.append(da)
         elif da == 1:
@@ -52,13 +47,7 @@ def broadcast_shapes(a_dims, b_dims) -> BroadcastPlan:
             raise BroadcastError(
                 f"dimension {t + 1}: extents {da} and {db} are incompatible"
             )
-    return BroadcastPlan(
-        result_dims=normalize_dims(out),
-        advances=(
-            tuple(d > 1 for d in a_ext),
-            tuple(d > 1 for d in b_ext),
-        ),
-    )
+    return BroadcastPlan(result_dims=normalize_dims(out))
 
 
 def _coerce(x) -> NumArray:
@@ -69,10 +58,21 @@ def _coerce(x) -> NumArray:
     raise ArgumentError(f"expected a NumArray or scalar, got {type(x).__name__}")
 
 
-def _aligned_views(*arrays):
-    """Right-pad every operand's view with singleton axes to a common rank."""
-    rank = max(a.rank for a in arrays)
-    return [a.buf.reshape(a.dims + (1,) * (rank - a.rank), order="F") for a in arrays]
+def _broadcast_apply(fn, *operands):
+    """The one broadcasting path: fn over right-padded views of the operands.
+
+    The result shape folds broadcast_shapes over the operands' dims; each
+    operand's view gets trailing singleton axes up to the common rank, so
+    numpy repeats extent-1 dimensions. A bool result comes back as a
+    BoolMask, anything else as a NumArray.
+    """
+    dims = operands[0].dims
+    for x in operands[1:]:
+        dims = broadcast_shapes(dims, x.dims).result_dims
+    # operand dims are normalized, so no operand outranks the result
+    views = (x.view().reshape(x.dims + (1,) * (len(dims) - len(x.dims))) for x in operands)
+    out = fn(*views)
+    return (BoolMask if out.dtype == np.bool_ else NumArray)(dims, np.ravel(out, order="F"))
 
 
 _BINARY = {
@@ -105,24 +105,16 @@ def ew_binary(op: str, a, b) -> NumArray:
     """Elementwise +, -, *, /, ^ with broadcasting and IEEE-754 semantics."""
     if op not in _BINARY:
         raise ArgumentError(f"unknown elementwise operator {op!r}")
-    a, b = _coerce(a), _coerce(b)
-    plan = broadcast_shapes(a.dims, b.dims)
-    va, vb = _aligned_views(a, b)
     with np.errstate(all="ignore"):
-        out = _BINARY[op](va, vb)
-    return NumArray(plan.result_dims, np.ravel(out, order="F"))
+        return _broadcast_apply(_BINARY[op], _coerce(a), _coerce(b))
 
 
 def compare(op: str, a, b) -> BoolMask:
     """Elementwise comparison; any comparison with NaN is false except !=."""
     if op not in _COMPARE:
         raise ArgumentError(f"unknown comparison {op!r}")
-    a, b = _coerce(a), _coerce(b)
-    plan = broadcast_shapes(a.dims, b.dims)
-    va, vb = _aligned_views(a, b)
     with np.errstate(invalid="ignore"):
-        out = _COMPARE[op](va, vb)
-    return BoolMask(plan.result_dims, np.ravel(out, order="F"))
+        return _broadcast_apply(_COMPARE[op], _coerce(a), _coerce(b))
 
 
 def ew_unary(op: str, a: NumArray) -> NumArray:
@@ -143,8 +135,7 @@ def reduce_along_dim(kind: str, a: NumArray, dim: int) -> NumArray:
     """
     if kind not in ("sum", "prod", "mean"):
         raise ArgumentError(f"unknown reduction {kind!r}")
-    if dim not in (1, 2, 3):
-        raise ArgumentError(f"reduction dim must be 1, 2, or 3, got {dim}")
+    _check_dim(dim, "reduction", allowed=(1, 2, 3))
     if dim > a.rank:
         return NumArray(a.dims, a.buf.copy())
     ax = dim - 1
@@ -164,10 +155,8 @@ def reduce_along_dim(kind: str, a: NumArray, dim: int) -> NumArray:
 
 def cumsum_along_dim(a: NumArray, dim: int) -> NumArray:
     """Running prefix sums along dim; same shape as the input."""
-    if dim not in (1, 2):
-        raise ArgumentError(f"cumsum dim must be 1 or 2, got {dim}")
-    if a.rank != 2:
-        raise ShapeError("cumsum here is rank-2 only")
+    _check_dim(dim, "cumsum")
+    _check_rank2(a, "cumsum")
     out = np.cumsum(a.view(), axis=dim - 1)
     return NumArray(a.dims, np.ravel(out, order="F"))
 
@@ -180,10 +169,8 @@ def extremum(kind: str, a: NumArray, dim: int):
     """
     if kind not in ("min", "max"):
         raise ArgumentError(f"extremum kind must be 'min' or 'max', got {kind!r}")
-    if dim not in (1, 2):
-        raise ArgumentError(f"extremum dim must be 1 or 2, got {dim}")
-    if a.rank != 2:
-        raise ShapeError("extremum here is rank-2 only")
+    _check_dim(dim, "extremum")
+    _check_rank2(a, "extremum")
     ax = dim - 1
     v = a.view()
     if v.shape[ax] < 1:
@@ -208,31 +195,15 @@ def extremum(kind: str, a: NumArray, dim: int):
 
 def merge(mask: BoolMask, a, b) -> NumArray:
     """Elementwise mask ? a : b with broadcasting (the conditional merge)."""
-    a, b = _coerce(a), _coerce(b)
-    plan = broadcast_shapes(mask.dims, broadcast_shapes(a.dims, b.dims).result_dims)
-    rank = len(plan.result_dims)
-    vm = mask.bits.reshape(mask.dims + (1,) * (rank - len(mask.dims)), order="F")
-    va, vb = (
-        x.buf.reshape(x.dims + (1,) * (rank - x.rank), order="F") for x in (a, b)
-    )
-    out = np.where(vm, va, vb)
-    return NumArray(plan.result_dims, np.ravel(out, order="F"))
+    return _broadcast_apply(np.where, mask, _coerce(a), _coerce(b))
 
 
 def mask_or(a: BoolMask, b: BoolMask) -> BoolMask:
-    plan = broadcast_shapes(a.dims, b.dims)
-    rank = len(plan.result_dims)
-    va = a.bits.reshape(a.dims + (1,) * (rank - len(a.dims)), order="F")
-    vb = b.bits.reshape(b.dims + (1,) * (rank - len(b.dims)), order="F")
-    return BoolMask(plan.result_dims, np.ravel(va | vb, order="F"))
+    return _broadcast_apply(np.logical_or, a, b)
 
 
 def mask_and(a: BoolMask, b: BoolMask) -> BoolMask:
-    plan = broadcast_shapes(a.dims, b.dims)
-    rank = len(plan.result_dims)
-    va = a.bits.reshape(a.dims + (1,) * (rank - len(a.dims)), order="F")
-    vb = b.bits.reshape(b.dims + (1,) * (rank - len(b.dims)), order="F")
-    return BoolMask(plan.result_dims, np.ravel(va & vb, order="F"))
+    return _broadcast_apply(np.logical_and, a, b)
 
 
 def mask_not(a: BoolMask) -> BoolMask:
@@ -241,9 +212,7 @@ def mask_not(a: BoolMask) -> BoolMask:
 
 def apply_broadcast(f: Callable[[float, float], float], a, b) -> NumArray:
     """Lift a pure scalar binary function to arrays under broadcasting."""
-    a, b = _coerce(a), _coerce(b)
-    plan = broadcast_shapes(a.dims, b.dims)
-    va, vb = _aligned_views(a, b)
     lifted = np.frompyfunc(lambda x, y: float(f(float(x), float(y))), 2, 1)
-    out = lifted(va, vb).astype(np.float64)
-    return NumArray(plan.result_dims, np.ravel(out, order="F"))
+    return _broadcast_apply(
+        lambda va, vb: lifted(va, vb).astype(np.float64), _coerce(a), _coerce(b)
+    )

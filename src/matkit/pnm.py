@@ -97,6 +97,13 @@ def decode_pnm(data: bytes) -> Image:
         flat = np.frombuffer(data, dtype=np.uint8, count=count, offset=sc.pos)
         flat = flat.astype(np.float64)
     else:
+        # each sample needs at least one separator byte and one digit
+        if 2 * count > len(data) - sc.pos:
+            raise PnmFormatError(
+                f"truncated: {count} samples need at least {2 * count} bytes, "
+                f"have {len(data) - sc.pos}",
+                len(data),
+            )
         vals = np.empty(count)
         for k in range(count):
             at = sc.pos

@@ -99,6 +99,13 @@ def test_colon_range_empty_and_negative():
         colon_range(1, 0, 5)
 
 
+def test_colon_range_rejects_non_finite():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for args in ((0, 1, bad), (bad, 1, 5), (0, bad, 5)):
+            with pytest.raises(ArgumentError, match="finite"):
+                colon_range(*args)
+
+
 # --- magic squares ---
 
 def test_magic4_matches_reference():
@@ -207,6 +214,21 @@ def test_flipud():
 
 # --- linear index conversion ---
 
+def test_subscripts_must_be_integers():
+    a = magic(4)
+    assert a.at(2.0) == a.at(2) == 5
+    for call in (
+        lambda: a.at(1.5),
+        lambda: a.at(float("nan")),
+        lambda: a.at(1.5, 1),
+        lambda: a.at(1, float("inf")),
+        lambda: sub2ind((4, 4), (1.5, 1)),
+        lambda: ind2sub((4, 4), 2.5),
+    ):
+        with pytest.raises(ArgumentError, match="not an integer"):
+            call()
+
+
 def test_sub2ind_examples():
     assert sub2ind((4, 4), (3, 1)) == 3
     assert sub2ind((4, 4), (1, 2)) == 5
@@ -292,15 +314,29 @@ def _reference_sort(values, descending=False):
 
 def test_sort_matches_reference_comparator():
     rng = np.random.default_rng(14)
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+    shapes = [(1, 8), (8, 1), (4, 6), (6, 4), (0, 3), (3, 0), (1, 0), (0, 0)]
     for direction in ("asc", "desc"):
-        for _ in range(25):
-            vals = rng.standard_normal(8)
-            vals[rng.random(8) < 0.25] = np.nan
-            s, p = sort_along_dim(NumArray((1, 8), vals), 2, direction)
-            want = _reference_sort(vals.tolist(), direction == "desc")
-            assert np.array_equal(s.buf, np.asarray(want), equal_nan=True)
-            # perm really reconstructs the sorted row from the input
-            assert np.array_equal(vals[(p.buf - 1).astype(int)], s.buf, equal_nan=True)
+        for dims in shapes:
+            for _ in range(25):
+                n = dims[0] * dims[1]
+                vals = rng.standard_normal(n).round(1)  # rounding makes ties
+                pick = rng.random(n) < 0.3
+                vals[pick] = rng.choice(specials, int(pick.sum()))
+                v = vals.reshape(dims, order="F")
+                for dim in (1, 2):
+                    s, p = sort_along_dim(NumArray(dims, vals), dim, direction)
+                    assert s.dims == p.dims == dims
+                    sv, pv = s.view(), (p.view() - 1).astype(int)
+                    for k in range(dims[2 - dim]):
+                        src = v[:, k] if dim == 1 else v[k, :]
+                        got = sv[:, k] if dim == 1 else sv[k, :]
+                        order = pv[:, k] if dim == 1 else pv[k, :]
+                        want = _reference_sort(src.tolist(), direction == "desc")
+                        # bitwise: -0.0 and 0.0 keep their stable order
+                        assert got.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
+                        # perm really reconstructs the sorted slice from the input
+                        assert src[order].tobytes() == got.tobytes()
 
 
 def test_sort_along_columns():

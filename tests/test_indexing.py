@@ -81,6 +81,39 @@ def test_extract_bounds_error_names_dimension():
         extract(m, IndexExpr.linear(17))
 
 
+def test_span_rejects_fractional_endpoints():
+    for args in ((1.5, 3), (1, 3.5), (float("nan"), 3), (1, float("inf"))):
+        with pytest.raises(ArgumentError, match="endpoint must be an integer"):
+            span(*args)
+    assert_exact(magic(4)[span(1.0, 3.0)], [[16, 5, 9]])
+
+
+def test_fractional_selectors_are_refused():
+    m = magic(4)
+    for sel in ([1.5, 2], (2, 1.5), from_rows([[2, 1.5]]), float("nan"), [float("nan")]):
+        with pytest.raises(ArgumentError, match="linear index"):
+            extract(m, IndexExpr.linear(sel))
+    with pytest.raises(ArgumentError, match="dimension 2: index 2.5 is not an integer"):
+        extract(m, IndexExpr.of(1, [1, 2.5]))
+    with pytest.raises(ArgumentError, match="not an integer"):
+        assign_indexed(m, IndexExpr.of([0.5], 1), 0.0)
+    assert_exact(m[[1.0, 2.0]], [[16, 5]])
+
+
+def test_selector_error_names_first_offending_index():
+    m = magic(4)
+    with pytest.raises(IndexBoundsError, match="index 17 out of range"):
+        extract(m, IndexExpr.linear([2, 17, 1.5, 0]))
+    with pytest.raises(ArgumentError, match="index 1.5 is not an integer"):
+        extract(m, IndexExpr.linear([2, 1.5, 17]))
+    with pytest.raises(IndexBoundsError, match="dimension 1: index 0 out of range 1..4"):
+        extract(m, IndexExpr.of(from_rows([[1, 0, 9]]), 1))
+    with pytest.raises(IndexBoundsError, match="index inf out of range"):
+        extract(m, IndexExpr.linear(from_rows([[1, float("inf")]])))
+    with pytest.raises(ArgumentError, match="unsupported selector"):
+        extract(m, IndexExpr.linear(["a"]))
+
+
 def test_extract_with_array_index_keeps_its_shape():
     m = magic(4)
     ix = from_rows([[1, 6, 11, 16]])
@@ -134,6 +167,16 @@ def test_assign_shape_mismatch():
     m = magic(4)
     with pytest.raises(ShapeError):
         assign_indexed(m, IndexExpr.of(span(1, 2), span(1, 2)), from_rows([[1, 2, 3]]))
+
+
+def test_assign_rhs_must_be_array_or_scalar():
+    m = magic(4)
+    with pytest.raises(ArgumentError, match="rhs must be a NumArray or a scalar"):
+        assign_indexed(m, IndexExpr.of(1, span(1, 2)), [1, 2])
+    with pytest.raises(ArgumentError, match="rhs must be a NumArray or a scalar"):
+        assign_indexed(m, IndexExpr.linear([1, 2]), (1, 2))
+    with pytest.raises(ArgumentError, match="rhs must be a NumArray or a scalar"):
+        logical_assign(m, m < 3, [1, 2])
 
 
 def test_assign_then_extract_round_trip():

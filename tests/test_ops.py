@@ -1,11 +1,16 @@
 """Broadcasting rules, elementwise ops, reductions, extrema, and merge."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matkit import (
     EPS,
+    BoolMask,
     BroadcastError,
+    NumArray,
     Prng,
     apply_broadcast,
     broadcast_shapes,
@@ -26,7 +31,7 @@ from matkit import (
     repmat,
     zeros,
 )
-from matkit.core import wrap_ndarray
+from matkit.core import normalize_dims, wrap_ndarray
 
 from helpers import assert_exact, max_abs_diff
 
@@ -38,11 +43,6 @@ def test_broadcast_shapes_examples():
     assert broadcast_shapes((7, 4), (1, 4, 5)).result_dims == (7, 4, 5)
     with pytest.raises(BroadcastError, match="dimension 1"):
         broadcast_shapes((2, 3), (3, 2))
-
-
-def test_broadcast_plan_advances():
-    plan = broadcast_shapes((3, 1), (1, 4))
-    assert plan.advances == ((True, False), (False, True))
 
 
 # --- elementwise arithmetic ---
@@ -255,3 +255,97 @@ def test_broadcast_equals_materialized_rank3():
         bv = bv.reshape(bv.shape + (1,) * (3 - bv.ndim))  # pad right, like the kernel
         want = a.view() * np.broadcast_to(bv, dims)
         assert max_abs_diff(got, want) == 0.0
+
+
+# --- every broadcasting caller against numpy (property test) ---
+
+_SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -2.5, 3.0]
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _compatible_shapes(draw, count):
+    """count shapes that broadcast together: empty, 1xn, nx1, 3-D, mixed rank."""
+    base = draw(st.lists(st.integers(0, 3), min_size=2, max_size=3))
+    shapes = []
+    for _ in range(count):
+        s = [d if draw(st.booleans()) else 1 for d in base]
+        if len(s) == 3 and draw(st.booleans()):
+            s = s[:2]  # the dropped trailing axis is an implicit singleton
+        shapes.append(tuple(s))
+    return shapes
+
+
+def _draw_array(data, dims) -> NumArray:
+    n = int(np.prod(dims))
+    value = st.one_of(st.sampled_from(_SPECIALS), st.floats(width=64))
+    return NumArray(dims, data.draw(st.lists(value, min_size=n, max_size=n)))
+
+
+def _expanded(xs):
+    """Each operand's nd view padded right and materialized to the common shape."""
+    rank = max(len(x.dims) for x in xs)
+    padded = [x.dims + (1,) * (rank - len(x.dims)) for x in xs]
+    full = tuple(max(ext) if 0 not in ext else 0 for ext in zip(*padded))
+    return full, [np.broadcast_to(x.view().reshape(p, order="F"), full) for x, p in zip(xs, padded)]
+
+
+def _assert_bitwise(got, full, want):
+    assert got.dims == normalize_dims(full)
+    bits = got.bits if isinstance(got, BoolMask) else got.buf
+    assert bits.tobytes() == np.ravel(want, order="F").tobytes()
+
+
+@_PROPERTY
+@given(st.data())
+def test_broadcast_callers_match_numpy(data):
+    sa, sb, sm = data.draw(_compatible_shapes(3))
+    a, b = _draw_array(data, sa), _draw_array(data, sb)
+    mask = compare(">", _draw_array(data, sm), 0.0)
+    mask2 = compare("<", b, 1.0)
+    full, (va, vb) = _expanded([a, b])
+    with np.errstate(all="ignore"):
+        for op, fn in (("+", np.add), ("-", np.subtract), ("*", np.multiply),
+                       ("/", np.divide), ("^", np.power)):
+            _assert_bitwise(ew_binary(op, a, b), full, fn(va, vb))
+        for op, fn in (("<", np.less), ("<=", np.less_equal), (">", np.greater),
+                       (">=", np.greater_equal), ("==", np.equal), ("!=", np.not_equal)):
+            _assert_bitwise(compare(op, a, b), full, fn(va, vb))
+    _assert_bitwise(apply_broadcast(math.copysign, a, b), full, np.copysign(va, vb))
+    full3, (vm, va3, vb3) = _expanded([mask, a, b])
+    _assert_bitwise(merge(mask, a, b), full3, np.where(vm, va3, vb3))
+    full2, (vm, vm2) = _expanded([mask, mask2])
+    _assert_bitwise(mask_or(mask, mask2), full2, vm | vm2)
+    _assert_bitwise(mask_and(mask, mask2), full2, vm & vm2)
+
+
+def test_merge_2d_mask_against_3d_operands():
+    m = compare(">", from_rows([[1, -1], [-1, 1]]), 0.0)
+    a = wrap_ndarray(np.arange(8.0).reshape(2, 2, 2))
+    got = merge(m, a, -0.0)
+    assert got.dims == (2, 2, 2)
+    want = np.where(m.view()[:, :, None], a.view(), -0.0)
+    assert got.buf.tobytes() == np.ravel(want, order="F").tobytes()
+
+
+@_PROPERTY
+@given(st.data())
+def test_broadcast_callers_reject_incompatible_shapes(data):
+    sa, sb, sm = (list(s) for s in data.draw(_compatible_shapes(3)))
+    k = data.draw(st.integers(2, 3))
+    t = data.draw(st.integers(0, 1))
+    sa[t], sb[t] = k, k + 1  # neither extent is 1, and they differ
+    a, b = NumArray(sa, np.zeros(int(np.prod(sa)))), NumArray(sb, np.zeros(int(np.prod(sb))))
+    mask = BoolMask(sm, np.zeros(int(np.prod(sm)), dtype=bool))
+    calls = [
+        lambda: ew_binary("+", a, b),
+        lambda: compare("<", a, b),
+        lambda: apply_broadcast(math.copysign, a, b),
+        lambda: merge(mask, a, b),
+        lambda: merge(compare(">", a, 0.0), b, 0.0),
+        lambda: mask_or(compare(">", a, 0.0), compare(">", b, 0.0)),
+        lambda: mask_and(compare(">", a, 0.0), compare(">", b, 0.0)),
+    ]
+    for call in calls:
+        with pytest.raises(BroadcastError):
+            call()

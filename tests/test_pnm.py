@@ -1,5 +1,7 @@
 """PNM decode/encode: formats, comments, errors with byte offsets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,21 @@ def test_truncated_binary_payload():
 def test_truncated_ascii_payload():
     with pytest.raises(PnmFormatError, match="sample"):
         decode_pnm(b"P2\n2 2\n255\n1 2 3\n")
+
+
+def test_ascii_header_cannot_force_a_large_allocation():
+    # 16M samples announced by an 18-byte stream: refused before allocating
+    tracemalloc.start()
+    try:
+        with pytest.raises(PnmFormatError, match="sample") as err:
+            decode_pnm(b"P2 4000 4000 255 1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert err.value.offset == 18
+    # the bound is exact: one separator and one digit per sample is enough
+    assert decode_pnm(b"P2 2 1 255 7 9").pixels.buf.tolist() == [7, 9]
 
 
 def test_ascii_sample_above_maxval():
