@@ -15,7 +15,9 @@ The pieces:
 from .core import (
     EPS,
     BoolMask,
+    BroadcastPlan,
     NumArray,
+    broadcast_shapes,
     cat,
     circshift,
     colon_range,
@@ -65,9 +67,7 @@ from .indexing import (
 )
 from .linalg import DiagBand, EigResult, dctmtx, dot, eig_sym, matmul, mldivide, spdiags_extract
 from .ops import (
-    BroadcastPlan,
     apply_broadcast,
-    broadcast_shapes,
     compare,
     cumsum_along_dim,
     ew_binary,

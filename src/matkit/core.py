@@ -10,15 +10,28 @@ element (i1, ..., ik) is
 
 Arrays are immutable values: every operation returns a new array, so sharing
 across threads is safe and nothing here locks.
+
+Values are built through two entry points, and only this module knows the
+column-major layout:
+
+- NumArray(dims, buf) and BoolMask(dims, bits) take a caller-supplied
+  (dims, flat buffer) pair. Nothing ties the two together, so both validate
+  the extents and check the buffer size, in one shared body.
+- wrap_ndarray(arr) adopts an nd numpy result. numpy's own shape cannot
+  disagree with its buffer, so it is trusted: the dims are trimmed and the
+  buffer is flattened down the columns, with no further checks. A bool
+  result comes back as a BoolMask, anything else as a NumArray.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
-from .errors import ArgumentError, IndexBoundsError, ShapeError
+from .errors import ArgumentError, BroadcastError, IndexBoundsError, ShapeError
 
 # Machine epsilon for IEEE-754 double: the gap between 1 and the next double.
 EPS = 2.0 ** -52
@@ -43,9 +56,38 @@ def normalize_dims(dims) -> tuple:
         out.append(int(d))
     if len(out) < 2:
         raise ShapeError(f"rank must be at least 2, got dims {tuple(dims)!r}")
-    while len(out) > 2 and out[-1] == 1:
-        out.pop()
-    return tuple(out)
+    return _trim(tuple(out))
+
+
+def _trim(shape: tuple) -> tuple:
+    """Drop trailing singleton extents beyond rank 2: (3, 4, 1) -> (3, 4)."""
+    while len(shape) > 2 and shape[-1] == 1:
+        shape = shape[:-1]
+    return shape
+
+
+@dataclass(frozen=True)
+class BroadcastPlan:
+    """Result shape of a broadcast; extent-1 dimensions repeat their slice."""
+
+    result_dims: tuple
+
+
+def broadcast_shapes(a_dims, b_dims) -> BroadcastPlan:
+    """Combine two shapes under the singleton-expansion rule."""
+    out = []
+    for t, (da, db) in enumerate(zip_longest(a_dims, b_dims, fillvalue=1)):
+        if da == db:
+            out.append(da)
+        elif da == 1:
+            out.append(db)
+        elif db == 1:
+            out.append(da)
+        else:
+            raise BroadcastError(
+                f"dimension {t + 1}: extents {da} and {db} are incompatible"
+            )
+    return BroadcastPlan(result_dims=normalize_dims(out))
 
 
 def _check_rank2(a, who: str):
@@ -55,13 +97,13 @@ def _check_rank2(a, who: str):
 
 
 def _check_dim(dim, who: str, allowed=(1, 2)):
-    """The one dim guard: dim must be one of the allowed dimensions."""
-    if dim not in allowed:
+    """The one dim guard: dim must be an integer among the allowed dimensions."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim not in allowed:
         raise ArgumentError(f"{who} dim must be one of {allowed}, got {dim!r}")
 
 
 def _integral(k, what: str) -> int:
-    """A 1-based subscript as an int; a fractional, NaN or inf one is refused."""
+    """A subscript, count or shift as an int; a fractional, NaN or inf one is refused."""
     if not float(k).is_integer():
         raise ArgumentError(f"{what} {k!r} is not an integer")
     return int(k)
@@ -74,20 +116,31 @@ def numel_of(dims) -> int:
     return n
 
 
+def _set_slots(obj, dims: tuple, flat: np.ndarray):
+    """Fill an immutable value's two slots: its dims and its flat buffer."""
+    object.__setattr__(obj, "dims", dims)
+    object.__setattr__(obj, type(obj)._FLAT, flat)
+
+
+def _init_checked(obj, dims, flat):
+    """The validating body of NumArray(dims, buf) and BoolMask(dims, bits)."""
+    dims = normalize_dims(dims)
+    flat = np.asarray(flat, dtype=type(obj)._DTYPE).ravel()
+    if flat.size != numel_of(dims):
+        raise ShapeError(
+            f"buffer has {flat.size} elements but shape {dims} needs {numel_of(dims)}"
+        )
+    _set_slots(obj, dims, flat)
+
+
 class NumArray:
     """Immutable column-major array of float64."""
 
     __slots__ = ("dims", "buf")
+    _FLAT, _DTYPE = "buf", np.float64
 
     def __init__(self, dims, buf):
-        dims = normalize_dims(dims)
-        buf = np.asarray(buf, dtype=np.float64).ravel()
-        if buf.size != numel_of(dims):
-            raise ShapeError(
-                f"buffer has {buf.size} elements but shape {dims} needs {numel_of(dims)}"
-            )
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "buf", buf)
+        _init_checked(self, dims, buf)
 
     def __setattr__(self, name, value):
         raise AttributeError("NumArray is immutable")
@@ -236,16 +289,10 @@ class BoolMask:
     """Shape-matched boolean array produced by comparisons; column-major bits."""
 
     __slots__ = ("dims", "bits")
+    _FLAT, _DTYPE = "bits", np.bool_
 
     def __init__(self, dims, bits):
-        dims = normalize_dims(dims)
-        bits = np.asarray(bits, dtype=bool).ravel()
-        if bits.size != numel_of(dims):
-            raise ShapeError(
-                f"mask buffer has {bits.size} bits but shape {dims} needs {numel_of(dims)}"
-            )
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "bits", bits)
+        _init_checked(self, dims, bits)
 
     def __setattr__(self, name, value):
         raise AttributeError("BoolMask is immutable")
@@ -284,23 +331,24 @@ class BoolMask:
         return f"BoolMask({dims})\n{np.array2string(self.view(), threshold=20)}"
 
 
-def wrap_ndarray(arr: np.ndarray) -> NumArray:
-    """Adopt an nd numpy result (rank >= 2) as a NumArray, copying to F order."""
+def wrap_ndarray(arr: np.ndarray):
+    """The trusted constructor, without __init__'s checks: an nd numpy result of
+    rank >= 2 as a float64 NumArray, or as a BoolMask when it is bool."""
     if arr.ndim < 2:
         raise ShapeError("internal: wrap_ndarray needs rank >= 2")
-    return NumArray(arr.shape, np.ravel(arr, order="F"))
+    out = object.__new__(BoolMask if arr.dtype == np.bool_ else NumArray)
+    _set_slots(out, _trim(arr.shape), np.asarray(arr.ravel(order="F"), dtype=out._DTYPE))
+    return out
 
 
 # -- construction ---------------------------------------------------------
 
 def zeros(dims) -> NumArray:
-    dims = normalize_dims(dims)
-    return NumArray(dims, np.zeros(numel_of(dims)))
+    return full(dims, 0.0)
 
 
 def ones(dims) -> NumArray:
-    dims = normalize_dims(dims)
-    return NumArray(dims, np.ones(numel_of(dims)))
+    return full(dims, 1.0)
 
 
 def full(dims, value) -> NumArray:
@@ -375,19 +423,17 @@ def permute(a: NumArray, order) -> NumArray:
     dimensions beyond a's rank, so permute of a 1x3 row by (1, 3, 2) is the
     1x1x3 depth vector.
     """
-    order = tuple(int(o) for o in order)
+    order = tuple(_integral(o, "permute order entry") for o in order)
     k = len(order)
     if k < a.rank or sorted(order) != list(range(1, k + 1)):
         raise ArgumentError(f"order {order} is not a permutation of 1..rank for {a.dims}")
-    dims_ext = a.dims + (1,) * (k - a.rank)
-    v = a.buf.reshape(dims_ext, order="F")
-    out = np.transpose(v, axes=[o - 1 for o in order])
-    return NumArray(out.shape, np.ravel(out, order="F"))
+    v = a.buf.reshape(a.dims + (1,) * (k - a.rank), order="F")
+    return wrap_ndarray(np.transpose(v, axes=[o - 1 for o in order]))
 
 
 def ipermute(a: NumArray, order) -> NumArray:
     """Inverse of permute with the same order: ipermute(permute(A, p), p) == A."""
-    order = tuple(int(o) for o in order)
+    order = tuple(_integral(o, "permute order entry") for o in order)
     inverse = [0] * len(order)
     for pos, o in enumerate(order):
         if not 1 <= o <= len(order):
@@ -452,6 +498,7 @@ def cat(dim: int, arrays) -> NumArray:
 
 def repmat(a: NumArray, reps_rows: int, reps_cols: int) -> NumArray:
     """Tile the whole array reps_rows x reps_cols times."""
+    reps_rows, reps_cols = (_integral(r, "repmat count") for r in (reps_rows, reps_cols))
     if reps_rows <= 0 or reps_cols <= 0:
         raise ArgumentError("repmat counts must be positive")
     _check_rank2(a, "repmat")
@@ -462,7 +509,7 @@ def repelems(a: NumArray, counts) -> NumArray:
     """Repeat each element of a vector in sequence: ([5 7], [2 3]) -> [5 5 7 7 7]."""
     if not (a.rank == 2 and (a.rows == 1 or a.cols == 1)):
         raise ShapeError(f"repelems needs a vector, got {a.dims}")
-    counts = [int(c) for c in counts]
+    counts = [_integral(c, "repelems count") for c in counts]
     if len(counts) != a.numel:
         raise ArgumentError(f"need one count per element: {a.numel} elements, {len(counts)} counts")
     if any(c <= 0 for c in counts):
@@ -475,7 +522,7 @@ def circshift(a: NumArray, k: int, dim: int) -> NumArray:
     """Circularly shift elements by k along dim; shifting by the extent is identity."""
     _check_dim(dim, "circshift")
     _check_rank2(a, "circshift")
-    return wrap_ndarray(np.roll(a.view(), int(k), axis=dim - 1))
+    return wrap_ndarray(np.roll(a.view(), _integral(k, "circshift shift"), axis=dim - 1))
 
 
 def sort_along_dim(a: NumArray, dim: int, direction: str = "asc"):

@@ -17,7 +17,8 @@ import math
 from typing import Callable, Tuple
 
 from .core import (
-    NumArray, _check_rank2, colon_range, flipud, from_rows, permute, reshape, wrap_ndarray, zeros,
+    NumArray, _check_rank2, _integral, colon_range, flipud, from_rows, permute, reshape,
+    wrap_ndarray, zeros,
 )
 from .errors import ArgumentError, ContractError, ShapeError
 from .indexing import ALL, END, IndexExpr, assign_indexed, delete_elements, extract, isnan_mask, span
@@ -177,8 +178,7 @@ def distance_matrix(p: NumArray, strategy: str = "fullBroadcast") -> NumArray:
             out = assign_indexed(out, IndexExpr.of(i, span(i, n)), col.T)
         return out
     if strategy == "fullBroadcast":
-        diff = p - permute(p, (3, 2, 1))
-        return permute(ew_unary("sqrt", reduce_along_dim("sum", diff ** 2, 2)), (1, 3, 2))
+        return metric_euclidean(p, p)
     raise ArgumentError(f"unknown distance strategy {strategy!r}")
 
 
@@ -276,7 +276,7 @@ def blockproc(a: NumArray, block_shape, f: Callable[[NumArray], NumArray]) -> Nu
     output size is the padded size. f must map r x c to r x c.
     """
     _check_rank2(a, "blockproc")
-    r, c = int(block_shape[0]), int(block_shape[1])
+    r, c = _integral(block_shape[0], "block extent"), _integral(block_shape[1], "block extent")
     if r < 1 or c < 1:
         raise ArgumentError(f"block shape must be positive, got {(r, c)}")
     m, n = a.dims

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BoolMask, NumArray, normalize_dims, numel_of, wrap_ndarray
+from .core import BoolMask, NumArray, normalize_dims, wrap_ndarray
 from .errors import ArgumentError, IndexBoundsError, ShapeError
 
 
@@ -228,7 +228,7 @@ def assign_indexed(a: NumArray, ix: IndexExpr, rhs) -> NumArray:
     else:
         if rhs.dims != sel_dims:
             raise ShapeError(f"assignment rhs shape {rhs.dims} != selection shape {sel_dims}")
-        out[np.ix_(*per_dim)] = rhs.buf.reshape([len(p) for p in per_dim], order="F")
+        out[np.ix_(*per_dim)] = rhs.view().reshape([len(p) for p in per_dim])
     return wrap_ndarray(out)
 
 
@@ -249,9 +249,9 @@ def delete_elements(a: NumArray, where) -> NumArray:
             drop[pos] = True
         else:
             per_dim = where._cartesian_positions(a)
-            sub = np.zeros(a.dims, dtype=bool, order="F")
+            sub = np.zeros(a.dims, dtype=bool)
             sub[np.ix_(*per_dim)] = True
-            drop = sub.ravel(order="F")
+            drop = wrap_ndarray(sub).bits
     else:
         raise ArgumentError(f"delete target must be an IndexExpr or BoolMask, got {where!r}")
     kept = a.buf[~drop]

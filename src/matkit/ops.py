@@ -16,38 +16,12 @@ freely by the backend; reductions stay sequential per slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import zip_longest
 from typing import Callable
 
 import numpy as np
 
-from .core import BoolMask, NumArray, _check_dim, _check_rank2, normalize_dims
-from .errors import ArgumentError, BroadcastError
-
-
-@dataclass(frozen=True)
-class BroadcastPlan:
-    """Result shape of a broadcast; extent-1 dimensions repeat their slice."""
-
-    result_dims: tuple
-
-
-def broadcast_shapes(a_dims, b_dims) -> BroadcastPlan:
-    """Combine two shapes under the singleton-expansion rule."""
-    out = []
-    for t, (da, db) in enumerate(zip_longest(a_dims, b_dims, fillvalue=1)):
-        if da == db:
-            out.append(da)
-        elif da == 1:
-            out.append(db)
-        elif db == 1:
-            out.append(da)
-        else:
-            raise BroadcastError(
-                f"dimension {t + 1}: extents {da} and {db} are incompatible"
-            )
-    return BroadcastPlan(result_dims=normalize_dims(out))
+from .core import BoolMask, NumArray, _check_dim, _check_rank2, broadcast_shapes, wrap_ndarray
+from .errors import ArgumentError
 
 
 def _coerce(x) -> NumArray:
@@ -63,16 +37,15 @@ def _broadcast_apply(fn, *operands):
 
     The result shape folds broadcast_shapes over the operands' dims; each
     operand's view gets trailing singleton axes up to the common rank, so
-    numpy repeats extent-1 dimensions. A bool result comes back as a
-    BoolMask, anything else as a NumArray.
+    numpy repeats extent-1 dimensions. wrap_ndarray turns a bool result into
+    a BoolMask, anything else into a NumArray.
     """
     dims = operands[0].dims
     for x in operands[1:]:
         dims = broadcast_shapes(dims, x.dims).result_dims
     # operand dims are normalized, so no operand outranks the result
     views = (x.view().reshape(x.dims + (1,) * (len(dims) - len(x.dims))) for x in operands)
-    out = fn(*views)
-    return (BoolMask if out.dtype == np.bool_ else NumArray)(dims, np.ravel(out, order="F"))
+    return wrap_ndarray(fn(*views))
 
 
 _BINARY = {
@@ -141,24 +114,19 @@ def reduce_along_dim(kind: str, a: NumArray, dim: int) -> NumArray:
     ax = dim - 1
     v = a.view()
     n = v.shape[ax]
-    out_shape = tuple(1 if t == ax else d for t, d in enumerate(v.shape))
-    if n == 0:
+    if n == 0:  # an empty slice reduces to the identity: sum 0, prod 1, mean NaN
         fill = 0.0 if kind == "sum" else (1.0 if kind == "prod" else np.nan)
-        return NumArray(normalize_dims(out_shape), np.full(int(np.prod(out_shape)), fill))
+        return wrap_ndarray(np.full_like(v.sum(axis=ax, keepdims=True), fill))
     scan = np.cumsum(v, axis=ax) if kind in ("sum", "mean") else np.cumprod(v, axis=ax)
-    out = np.take(scan, -1, axis=ax)
-    if kind == "mean":
-        out = out / n
-    out = np.expand_dims(out, ax)
-    return NumArray(normalize_dims(out_shape), np.ravel(out, order="F"))
+    out = np.take(scan, [-1], axis=ax)
+    return wrap_ndarray(out / n if kind == "mean" else out)
 
 
 def cumsum_along_dim(a: NumArray, dim: int) -> NumArray:
     """Running prefix sums along dim; same shape as the input."""
     _check_dim(dim, "cumsum")
     _check_rank2(a, "cumsum")
-    out = np.cumsum(a.view(), axis=dim - 1)
-    return NumArray(a.dims, np.ravel(out, order="F"))
+    return wrap_ndarray(np.cumsum(a.view(), axis=dim - 1))
 
 
 def extremum(kind: str, a: NumArray, dim: int):
@@ -183,14 +151,8 @@ def extremum(kind: str, a: NumArray, dim: int):
         w = np.where(nan, -np.inf, v)
         best = w.max(axis=ax, keepdims=True)
     hit = (w == best) & ~nan
-    idx0 = np.argmax(hit, axis=ax)  # first True; 0 when the slice is all NaN
-    vals = np.take_along_axis(v, np.expand_dims(idx0, ax), ax)
-    idx = np.expand_dims(idx0, ax).astype(np.float64) + 1.0
-    dims = normalize_dims(vals.shape)
-    return (
-        NumArray(dims, np.ravel(vals, order="F")),
-        NumArray(dims, np.ravel(idx, order="F")),
-    )
+    idx0 = np.argmax(hit, axis=ax, keepdims=True)  # first True; 0 when the slice is all NaN
+    return wrap_ndarray(np.take_along_axis(v, idx0, ax)), wrap_ndarray(idx0 + 1.0)
 
 
 def merge(mask: BoolMask, a, b) -> NumArray:

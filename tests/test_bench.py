@@ -1,8 +1,11 @@
 """PRNG determinism, timing harness, scenario verification, CSV round trip."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import matkit.bench
 from matkit import (
     ArgumentError,
     BenchScenario,
@@ -89,15 +92,23 @@ def test_time_it_positive_and_deterministic():
         time_it(lambda: x, reps=0)
 
 
-def test_time_it_scales_with_reps():
-    x = Prng(9).uniform((1, 300000))
+def test_time_it_scales_with_reps(monkeypatch):
+    # a fake clock that advances by exactly 1 on each call of work, so the
+    # totals do not depend on how busy the host is
+    clock = {"now": 0.0, "calls": 0}
+    monkeypatch.setattr(matkit.bench, "time", SimpleNamespace(perf_counter=lambda: clock["now"]))
+    x = Prng(9).uniform((1, 3))
 
     def work():
+        clock["now"] += 1.0
+        clock["calls"] += 1
         return x + x
 
     t1, _ = time_it(work, reps=10)
+    assert clock["calls"] == 11  # reps + 1: the warm-up call stays untimed
     t2, _ = time_it(work, reps=20)
-    assert 1.0 <= t2 / t1 <= 3.0  # doubling reps roughly doubles time
+    assert clock["calls"] == 11 + 21
+    assert (t1, t2) == (10.0, 20.0)  # doubling reps doubles time
 
 
 # --- scenarios ---

@@ -1,13 +1,18 @@
 """Array construction, layout, and rearrangement primitives."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import matkit
 from matkit import (
     EPS,
     ArgumentError,
+    BoolMask,
     IndexBoundsError,
     NumArray,
     ShapeError,
@@ -63,6 +68,95 @@ def test_ones_and_value_fill():
     assert ones((1, 3)).buf.tolist() == [1, 1, 1]
     v = full((2, 2), 6.5)
     assert v.buf.tolist() == [6.5, 6.5, 6.5, 6.5]
+
+
+# --- the two constructors (property tests) ---
+
+_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _nd_arrays(draw):
+    """Rank 2-5, 0 extents and trailing singletons; C, F, sliced or transposed
+    layout; float, int or bool dtype."""
+    rank = draw(st.integers(2, 5))
+    shape = [draw(st.integers(0, 3)) for _ in range(rank)]
+    trailing = draw(st.integers(0, rank - 1))
+    shape[rank - trailing:] = [1] * trailing
+    dtype = draw(st.sampled_from([np.float64, np.int64, np.bool_]))
+    layout = draw(st.sampled_from(["C", "F", "sliced", "transposed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(dims):
+        if dtype is np.bool_:
+            return rng.integers(0, 2, dims).astype(bool)
+        if dtype is np.int64:
+            return rng.integers(-2**62, 2**62, dims)
+        specials = rng.choice([np.nan, np.inf, -np.inf, -0.0], dims)
+        return np.where(rng.random(dims) < 0.2, specials, rng.standard_normal(dims))
+
+    if layout == "C":
+        return np.ascontiguousarray(values(shape))
+    if layout == "F":
+        return np.asfortranarray(values(shape))
+    if layout == "sliced":
+        return values([2 * d + 1 for d in shape])[tuple(slice(1, None, 2) for _ in shape)]
+    perm = list(draw(st.permutations(range(rank))))
+    base = values([shape[p] for p in np.argsort(perm)])
+    return np.transpose(base, perm)
+
+
+@_PROPERTY
+@given(_nd_arrays())
+def test_wrap_ndarray_is_the_column_major_flattening(arr):
+    got = wrap_ndarray(arr)
+    want = np.ravel(arr, order="F")
+    assert got.dims == normalize_dims(arr.shape)
+    if arr.dtype == np.bool_:
+        assert isinstance(got, BoolMask)
+        bits = got.bits
+    else:
+        assert isinstance(got, NumArray)
+        bits, want = got.buf, want.astype(np.float64)
+    assert bits.ndim == 1 and bits.dtype == want.dtype
+    assert bits.tobytes() == want.tobytes()
+
+
+def test_wrap_ndarray_rejects_rank_below_2():
+    for arr in (np.zeros(3), np.zeros(0), np.array(1.0), np.zeros(2, dtype=bool)):
+        with pytest.raises(ShapeError):
+            wrap_ndarray(arr)
+
+
+@_PROPERTY
+@given(st.data())
+def test_validating_constructors_reject_bad_dims_and_buffers(data):
+    dims = data.draw(st.lists(st.integers(0, 3), min_size=2, max_size=4))
+    n = int(np.prod(dims))
+    for cls, dtype in ((NumArray, np.float64), (BoolMask, bool)):
+        assert cls(dims, np.zeros(n, dtype=dtype)).dims == normalize_dims(dims)
+        bad = list(dims)
+        bad[data.draw(st.integers(0, len(dims) - 1))] = data.draw(
+            st.sampled_from([-1, -3, 0.5, 2.5, 2.0, np.float64(1.0), True, False])
+        )
+        with pytest.raises(ShapeError):
+            cls(bad, np.zeros(n, dtype=dtype))
+        size = data.draw(st.integers(0, n + 3).filter(lambda k: k != n))
+        with pytest.raises(ShapeError):
+            cls(dims, np.zeros(size, dtype=dtype))
+
+
+def test_only_core_knows_the_column_major_layout():
+    # the flattening order is core's decision; other modules go through
+    # wrap_ndarray, view() and the (dims, buffer) constructors
+    src = Path(matkit.__file__).parent
+    layout = re.compile(r"""order\s*=\s*["']F["']""")
+    offenders = [
+        f"{p.name}:{k}"
+        for p in sorted(src.glob("*.py")) if p.name != "core.py"
+        for k, line in enumerate(p.read_text().splitlines(), 1) if layout.search(line)
+    ]
+    assert offenders == []
 
 
 def test_ragged_literal_rejected():
@@ -278,6 +372,51 @@ def test_circshift():
     assert_exact(circshift(a, 0, 1), a.view())
     b = magic(4)
     assert_exact(circshift(b, 4, 1), b.view())
+
+
+def test_counts_shifts_and_orders_must_be_integers():
+    # each call was truncated to an int, or raised numpy's raw TypeError,
+    # OverflowError or ValueError
+    a = magic(4)
+    v = from_rows([[5, 7]])
+    for call in (
+        lambda: repmat(a, 1.5, 2),
+        lambda: repmat(a, 1, 2.5),
+        lambda: repmat(a, math.inf, 1),
+        lambda: repmat(a, math.nan, 1),
+        lambda: circshift(a, 1.5, 1),
+        lambda: circshift(a, math.nan, 1),
+        lambda: circshift(a, -math.inf, 2),
+        lambda: repelems(v, [1.5, 2]),
+        lambda: repelems(v, [2, math.nan]),
+        lambda: permute(a, (2.9, 1)),
+        lambda: permute(a, (math.nan, 1)),
+        lambda: ipermute(a, (2.9, 1)),
+    ):
+        with pytest.raises(ArgumentError, match="not an integer"):
+            call()
+    # an integral float still counts
+    assert_exact(repmat(a, 1.0, 1), a.view())
+    assert_exact(circshift(a, 4.0, 1), a.view())
+    assert_exact(repelems(v, [2.0, 1.0]), [[5, 5, 7]])
+    assert_exact(permute(a, (2.0, 1.0)), a.view().T)
+    assert_exact(ipermute(a, (2.0, 1.0)), a.view().T)
+
+
+def test_dims_must_be_integers():
+    # a float or bool dim passed the guard, then failed with a raw TypeError
+    # (or, for True, silently meant dim 1)
+    a = magic(4)
+    for call in (
+        lambda: circshift(a, 1, 1.0),
+        lambda: circshift(a, 1, True),
+        lambda: cat(2.0, [a, a]),
+        lambda: sort_along_dim(a, 1.0),
+        lambda: diff_adjacent(a, 2.0),
+    ):
+        with pytest.raises(ArgumentError, match="dim must be one of"):
+            call()
+    assert_exact(circshift(a, 1, np.int64(2)), np.roll(a.view(), 1, axis=1))
 
 
 # --- sorting / unique / diff ---

@@ -317,6 +317,14 @@ def test_blockproc_pads_and_round_trips():
     assert max_abs_diff(back, padded) <= 1e-9
 
 
+def test_blockproc_block_extents_must_be_integers():
+    # a fractional extent was truncated: (2.5, 2) silently used 2x2 tiles
+    for shape in ((2.5, 2), (2, 1.5), (math.nan, 2), (2, math.inf)):
+        with pytest.raises(ArgumentError, match="not an integer"):
+            blockproc(magic(4), shape, lambda blk: blk)
+    assert max_abs_diff(blockproc(magic(4), (2.0, 4.0), lambda blk: blk), magic(4)) == 0.0
+
+
 def test_blockproc_contract_violation():
     with pytest.raises(ContractError):
         blockproc(magic(4), (2, 2), lambda blk: zeros((3, 3)))

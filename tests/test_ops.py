@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from matkit import (
     EPS,
+    ArgumentError,
     BoolMask,
     BroadcastError,
     NumArray,
@@ -127,6 +128,21 @@ def test_sum_is_sequential_left_to_right():
 def test_reduce_past_rank_is_identity():
     a = from_rows([[1, 2], [3, 4]])
     assert_exact(reduce_along_dim("sum", a, 3), a.view())
+
+
+def test_reduction_dims_must_be_integers():
+    # a float dim passed the guard, then failed with a raw TypeError (or,
+    # past the rank, silently returned the input)
+    a = magic(4)
+    for call in (
+        lambda: reduce_along_dim("sum", a, 1.0),
+        lambda: reduce_along_dim("mean", a, 3.0),
+        lambda: reduce_along_dim("prod", a, False),
+        lambda: cumsum_along_dim(a, 2.0),
+        lambda: extremum("max", a, 1.0),
+    ):
+        with pytest.raises(ArgumentError, match="dim must be one of"):
+            call()
 
 
 def test_cumsum():
