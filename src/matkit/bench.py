@@ -330,8 +330,7 @@ def built_in_scenarios(
         ),
         "distance": BenchScenario(
             "distance", (distance_n, distance_d), 1,
-            tolerance=1e-9, checksum_rtol=1e-6,
-            setup=_setup_distance(distance_n, distance_d),
+            setup=_setup_distance(distance_n, distance_d), **exact
         ),
         "grayscale": BenchScenario(
             "grayscale", (gray_size,), 1, setup=_setup_grayscale(gray_size), **exact

@@ -103,8 +103,14 @@ def _check_dim(dim, who: str, allowed=(1, 2)):
 
 
 def _integral(k, what: str) -> int:
-    """A subscript, count or shift as an int; a fractional, NaN or inf one is refused."""
-    if not float(k).is_integer():
+    """A subscript, count or shift as an int.
+
+    Only an int or float (Python or numpy) is taken; a bool, string, None,
+    list or array is refused, and so is a fractional, NaN or inf float.
+    """
+    if isinstance(k, bool) or not isinstance(k, (int, float, np.integer, np.floating)):
+        raise ArgumentError(f"{what} must be a number, got {type(k).__name__}")
+    if isinstance(k, (float, np.floating)) and not float(k).is_integer():
         raise ArgumentError(f"{what} {k!r} is not an integer")
     return int(k)
 

@@ -17,7 +17,7 @@ import math
 from typing import Callable, Tuple
 
 from .core import (
-    NumArray, _check_rank2, _integral, colon_range, flipud, from_rows, permute, reshape,
+    NumArray, _check_rank2, _integral, cat, colon_range, flipud, from_rows, permute, reshape,
     wrap_ndarray, zeros,
 )
 from .errors import ArgumentError, ContractError, ShapeError
@@ -150,10 +150,10 @@ def pca(x: NumArray) -> Tuple[NumArray, NumArray, NumArray]:
 def distance_matrix(p: NumArray, strategy: str = "fullBroadcast") -> NumArray:
     """All pairwise Euclidean distances between the rows of p.
 
-    Three equivalent strategies: 'loop3' (three nested scalar loops filling
-    both triangles by symmetry), 'rowBroadcast' (one loop over reference
-    points, broadcasting each against the remaining rows), and
-    'fullBroadcast' (no loop at all, no symmetry shortcut).
+    Three strategies with bit-identical results: 'loop3' (three nested
+    scalar loops filling both triangles by symmetry), 'rowBroadcast' (one
+    loop over reference points, each broadcast against every row into one
+    column, the columns joined once), and 'fullBroadcast' (no loop at all).
     """
     _check_rank2(p, "distance_matrix")
     n, d = p.dims
@@ -169,14 +169,13 @@ def distance_matrix(p: NumArray, strategy: str = "fullBroadcast") -> NumArray:
                 out[i - 1, j - 1] = out[j - 1, i - 1] = math.sqrt(dist)
         return wrap_ndarray(out)
     if strategy == "rowBroadcast":
-        out = zeros((n, n))
+        if n == 0:
+            return zeros((0, 0))
+        cols = []
         for i in range(1, n + 1):
-            tail = extract(p, IndexExpr.of(span(i, n), ALL))
             ref = extract(p, IndexExpr.of(i, ALL))
-            col = ew_unary("sqrt", reduce_along_dim("sum", (tail - ref) ** 2, 2))
-            out = assign_indexed(out, IndexExpr.of(span(i, n), i), col)
-            out = assign_indexed(out, IndexExpr.of(i, span(i, n)), col.T)
-        return out
+            cols.append(ew_unary("sqrt", reduce_along_dim("sum", (p - ref) ** 2, 2)))
+        return cat(2, cols)
     if strategy == "fullBroadcast":
         return metric_euclidean(p, p)
     raise ArgumentError(f"unknown distance strategy {strategy!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BoolMask, NumArray, normalize_dims, wrap_ndarray
+from .core import BoolMask, NumArray, _integral, normalize_dims, wrap_ndarray
 from .errors import ArgumentError, IndexBoundsError, ShapeError
 
 
@@ -31,10 +31,10 @@ class End:
     __slots__ = ("offset",)
 
     def __init__(self, offset=0):
-        self.offset = int(offset)
+        self.offset = _integral(offset, "END offset")
 
     def __sub__(self, k):
-        return End(self.offset + int(k))
+        return End(self.offset + _integral(k, "END offset"))
 
     def resolve(self, extent: int) -> int:
         return extent - self.offset
@@ -222,7 +222,7 @@ def assign_indexed(a: NumArray, ix: IndexExpr, rhs) -> NumArray:
 
     per_dim = ix._cartesian_positions(a)
     sel_dims = normalize_dims(tuple(len(p) for p in per_dim))
-    out = a.view().copy()
+    out = a.view().copy(order="K")  # keeps the column-major layout: wrap_ndarray copies nothing
     if scalar_rhs:
         out[np.ix_(*per_dim)] = float(rhs)
     else:

@@ -127,9 +127,7 @@ def test_distance_scenario_three_variants():
     s = built_in_scenarios(distance_n=40)["distance"]
     records = run_scenario(s, seed=3)
     assert [r.variant for r in records] == ["loop3", "rowBroadcast", "fullBroadcast"]
-    ref = records[0].checksum
-    for r in records[1:]:
-        assert abs(r.checksum - ref) <= 1e-6 * abs(ref)
+    assert len({r.checksum for r in records}) == 1
 
 
 def test_checksums_stable_across_runs():

@@ -403,6 +403,23 @@ def test_counts_shifts_and_orders_must_be_integers():
     assert_exact(ipermute(a, (2.0, 1.0)), a.view().T)
 
 
+def test_counts_and_subscripts_must_be_numbers():
+    # "2" was read as 2 through float(), and None leaked a raw TypeError
+    a = magic(4)
+    for bad in ("2", "x", None, True, [2], from_rows([[2]])):
+        for call in (
+            lambda: repmat(a, bad, 1),
+            lambda: a.at(bad),
+            lambda: a.at(1, bad),
+            lambda: circshift(a, bad, 1),
+            lambda: ind2sub((4, 4), bad),
+        ):
+            with pytest.raises(ArgumentError, match="must be a number"):
+                call()
+    assert_exact(repmat(a, np.int64(1), np.float64(1.0)), a.view())
+    assert a.at(np.int32(2)) == 5
+
+
 def test_dims_must_be_integers():
     # a float or bool dim passed the guard, then failed with a raw TypeError
     # (or, for True, silently meant dim 1)

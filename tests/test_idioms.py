@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matkit import (
     ArgumentError,
     ContractError,
+    NumArray,
     Prng,
     ShapeError,
     blockproc,
@@ -164,14 +166,47 @@ def test_distance_strategies_agree_300_points():
     d1 = distance_matrix(p, "loop3")
     d2 = distance_matrix(p, "rowBroadcast")
     d3 = distance_matrix(p, "fullBroadcast")
-    assert max_abs_diff(d1, d2) <= 1e-9
-    assert max_abs_diff(d1, d3) <= 1e-9
+    for d in (d2, d3):
+        assert d.dims == d1.dims
+        assert np.array_equal(d.buf.view(np.uint64), d1.buf.view(np.uint64))
     for d in (d1, d2, d3):
         v = d.view()
         assert np.abs(v - v.T).max() <= 1e-12
         assert np.abs(np.diag(v)).max() <= 1e-12
     assert np.all(np.diag(d1.view()) == 0)
     assert np.all(np.diag(d2.view()) == 0)
+
+
+_STRATEGIES = ("loop3", "rowBroadcast", "fullBroadcast")
+_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _point_sets(draw):
+    n, d = draw(st.integers(0, 40)), draw(st.integers(1, 9))
+    mantissa = st.floats(-1.0, 1.0, allow_nan=False)
+    value = st.builds(math.ldexp, mantissa, st.integers(-300, 300))  # mixed magnitudes
+    return NumArray((n, d), draw(st.lists(value, min_size=n * d, max_size=n * d)))
+
+
+@_PROPERTY
+@given(_point_sets())
+def test_distance_strategies_bitwise_equal(p):
+    with np.errstate(over="ignore"):
+        got = [distance_matrix(p, s) for s in _STRATEGIES]
+    for d in got:
+        assert d.dims == (p.rows, p.rows)
+        assert np.array_equal(d.buf.view(np.uint64), got[0].buf.view(np.uint64))
+
+
+def test_distance_strategies_agree_on_nan_and_inf():
+    p = from_rows([[0, 1], [math.nan, 2], [math.inf, 3], [-math.inf, 4], [1, math.inf]])
+    with np.errstate(invalid="ignore"):
+        got = [distance_matrix(p, s) for s in _STRATEGIES]
+    for d in got[1:]:
+        assert d.dims == got[0].dims == (5, 5)
+        assert np.array_equal(d.view(), got[0].view(), equal_nan=True)
+    assert np.isnan(got[0].view()).any() and np.isinf(got[0].view()).any()
 
 
 def test_distance_triangle_inequality_sampled():

@@ -28,6 +28,7 @@ from matkit import (
     zeros,
 )
 from matkit.core import wrap_ndarray
+from matkit.indexing import End
 
 from helpers import assert_exact
 
@@ -86,6 +87,19 @@ def test_span_rejects_fractional_endpoints():
         with pytest.raises(ArgumentError, match="endpoint must be an integer"):
             span(*args)
     assert_exact(magic(4)[span(1.0, 3.0)], [[16, 5, 9]])
+
+
+def test_end_rejects_fractional_offset():
+    # END - 1.5 was truncated to END - 1, so span(END - 1.5, END) read [12, 1]
+    for k in (1.5, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ArgumentError, match="END offset"):
+            END - k
+        with pytest.raises(ArgumentError, match="END offset"):
+            End(k)
+    with pytest.raises(ArgumentError, match="END offset"):
+        magic(4)[span(END - 1.5, END)]
+    assert_exact(magic(4)[span(END - 1.0, END)], [[12, 1]])
+    assert repr(END - 1 - 2) == "END-3"
 
 
 def test_fractional_selectors_are_refused():
