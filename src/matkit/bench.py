@@ -1,10 +1,13 @@
 """Deterministic data generation, equivalence-checked timing, CSV reporting.
 
 Every scenario pairs a scalar-loop variant with one or more vectorized
-variants over the same generated inputs. Variants are verified equivalent
-BEFORE any timing happens; a mismatch aborts the scenario. Timing is
-one untimed warmup call followed by `reps` sequential calls on a monotonic
-clock, single-threaded, with no statistical post-processing: the harness
+variants over the same generated inputs. Before any timing, every variant's
+result must equal the first's exactly: the same dims and the same values,
+with NaN matching NaN (and -0.0 matching 0.0). Agreement is exact, never
+approximate: the first difference aborts the scenario with a
+VerificationError naming its 1-based subscript. Timing is one untimed
+warmup call followed by `reps` sequential calls on a monotonic clock,
+single-threaded, with no statistical post-processing: the harness
 demonstrates relative structure, not rigorous microbenchmarking.
 
 The generator is splitmix64 in counter mode: draw i of a stream seeded with
@@ -23,7 +26,7 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from .core import NumArray, normalize_dims, numel_of
+from .core import NumArray, _integral, ind2sub, normalize_dims, numel_of
 from .errors import ArgumentError, VerificationError
 from .idioms import (
     boustrophedon_scan,
@@ -85,12 +88,14 @@ class Prng:
     def randint(self, lo: int, hi: int, dims) -> NumArray:
         """Integers uniform over lo..hi inclusive (rejection sampling).
 
-        The spread hi - lo + 1 may be at most 2**53, the most consecutive
-        integers a float64 result holds exactly.
+        lo and hi must be integral numbers. The spread hi - lo + 1 may be at
+        most 2**53, the most consecutive integers a float64 result holds
+        exactly.
         """
+        lo, hi = _integral(lo, "randint lo"), _integral(hi, "randint hi")
         if lo > hi:
             raise ArgumentError(f"randint needs lo <= hi, got {lo} > {hi}")
-        spread = int(hi) - int(lo) + 1
+        spread = hi - lo + 1
         if spread > 1 << 53:
             raise ArgumentError(f"randint spread {spread} exceeds 2**53")
         dims = normalize_dims(dims)
@@ -110,8 +115,12 @@ class Prng:
 
 
 def checksum(a: NumArray) -> float:
-    """Sum of all result elements; consumed after timing so work can't be elided."""
-    return float(np.sum(a.buf))
+    """Sum of all result elements; consumed after timing so work can't be elided.
+
+    A result holding both inf and -inf sums to NaN, which is recorded as is.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.sum(a.buf))
 
 
 def time_it(f: Callable[[], NumArray], reps: int):
@@ -144,48 +153,40 @@ class TimingRecord:
 class BenchScenario:
     """Named pairing of variants over shared inputs.
 
-    setup draws the scenario's inputs from the stream and returns the
-    variant closures in report order (the first is the reference).
-    tolerance is the allowed max |delta| between variant results (0.0 means
-    bit-exact); checksum_rtol bounds the relative checksum disagreement.
+    n is the size reported in every record. setup draws the scenario's
+    inputs from the stream and returns the variant closures in report order;
+    the first is the reference every other variant must equal exactly.
     """
 
     name: str
-    size_params: tuple
+    n: int
     reps: int
-    tolerance: float
-    checksum_rtol: float
     setup: Callable[[Prng], Dict[str, Callable[[], NumArray]]]
 
-    @property
-    def n(self) -> int:
-        return int(self.size_params[0])
+
+def _verify_equal(scenario: str, ref: str, other: str, a: NumArray, b: NumArray):
+    """Equal dims and equal values, NaN matching NaN; else name the first difference."""
+    if a.dims != b.dims:
+        raise VerificationError(
+            f"{scenario}: variants {ref!r} vs {other!r} disagree on shape "
+            f"{a.dims} vs {b.dims}"
+        )
+    differs = (a.buf != b.buf) & ~(np.isnan(a.buf) & np.isnan(b.buf))
+    if differs.any():
+        k = int(np.argmax(differs))
+        raise VerificationError(
+            f"{scenario}: variants {ref!r} vs {other!r} differ at "
+            f"{ind2sub(a.dims, k + 1)}: {float(a.buf[k])!r} vs {float(b.buf[k])!r}"
+        )
 
 
 def run_scenario(s: BenchScenario, seed: int) -> List[TimingRecord]:
-    """Verify all variants agree, then time each; abort if they disagree."""
+    """Verify all variants equal the first, then time each; abort if one differs."""
     variants = s.setup(Prng(seed))
     names = list(variants)
     results = {name: variants[name]() for name in names}
-    ref = names[0]
     for other in names[1:]:
-        a, b = results[ref], results[other]
-        if a.dims != b.dims:
-            raise VerificationError(
-                f"{s.name}: variants {ref!r} vs {other!r} disagree on shape "
-                f"{a.dims} vs {b.dims}"
-            )
-        delta = float(np.max(np.abs(a.buf - b.buf))) if a.numel else 0.0
-        if not delta <= s.tolerance:
-            raise VerificationError(
-                f"{s.name}: variants {ref!r} vs {other!r} differ: max |delta| = {delta:.3e}"
-            )
-        ca, cb = checksum(a), checksum(b)
-        scale = max(abs(ca), abs(cb), 1e-300)
-        if abs(ca - cb) / scale > s.checksum_rtol:
-            raise VerificationError(
-                f"{s.name}: checksum mismatch {ref!r}={ca!r} vs {other!r}={cb!r}"
-            )
+        _verify_equal(s.name, names[0], other, results[names[0]], results[other])
     records = []
     for name in names:
         total, cs = time_it(variants[name], s.reps)
@@ -310,31 +311,20 @@ def built_in_scenarios(
     gray_size: int = 64,
 ) -> Dict[str, BenchScenario]:
     """The stock scenarios; sizes are scaled to finish well under a minute."""
-    exact = dict(tolerance=0.0, checksum_rtol=0.0)
     return {
-        "vector-add": BenchScenario(
-            "vector-add", (vector_n,), 1, setup=_setup_vector_add(vector_n), **exact
-        ),
-        "dot-product": BenchScenario(
-            "dot-product", (vector_n,), 1, setup=_setup_dot_product(vector_n), **exact
-        ),
+        "vector-add": BenchScenario("vector-add", vector_n, 1, _setup_vector_add(vector_n)),
+        "dot-product": BenchScenario("dot-product", vector_n, 1, _setup_dot_product(vector_n)),
         "mean-above-50": BenchScenario(
-            "mean-above-50", (vector_n,), 1, setup=_setup_mean_above_50(vector_n), **exact
+            "mean-above-50", vector_n, 1, _setup_mean_above_50(vector_n)
         ),
         "boustrophedon": BenchScenario(
-            "boustrophedon", (scan_size,), 1,
-            setup=_setup_scan("boustrophedon", scan_size), **exact
+            "boustrophedon", scan_size, 1, _setup_scan("boustrophedon", scan_size)
         ),
-        "zigzag": BenchScenario(
-            "zigzag", (scan_size,), 1, setup=_setup_scan("zigzag", scan_size), **exact
-        ),
+        "zigzag": BenchScenario("zigzag", scan_size, 1, _setup_scan("zigzag", scan_size)),
         "distance": BenchScenario(
-            "distance", (distance_n, distance_d), 1,
-            setup=_setup_distance(distance_n, distance_d), **exact
+            "distance", distance_n, 1, _setup_distance(distance_n, distance_d)
         ),
-        "grayscale": BenchScenario(
-            "grayscale", (gray_size,), 1, setup=_setup_grayscale(gray_size), **exact
-        ),
+        "grayscale": BenchScenario("grayscale", gray_size, 1, _setup_grayscale(gray_size)),
     }
 
 

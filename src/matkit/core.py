@@ -102,15 +102,18 @@ def _check_dim(dim, who: str, allowed=(1, 2)):
         raise ArgumentError(f"{who} dim must be one of {allowed}, got {dim!r}")
 
 
-def _integral(k, what: str) -> int:
-    """A subscript, count or shift as an int.
+def _number(x, what: str):
+    """The one scalar type rule: x itself if it is an int or float (Python or
+    numpy); a bool, string, None, list or array is refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise ArgumentError(f"{what} must be a number, got {type(x).__name__}")
+    return x
 
-    Only an int or float (Python or numpy) is taken; a bool, string, None,
-    list or array is refused, and so is a fractional, NaN or inf float.
-    """
-    if isinstance(k, bool) or not isinstance(k, (int, float, np.integer, np.floating)):
-        raise ArgumentError(f"{what} must be a number, got {type(k).__name__}")
-    if isinstance(k, (float, np.floating)) and not float(k).is_integer():
+
+def _integral(k, what: str) -> int:
+    """A subscript, count or shift as an int: a _number that is not a
+    fractional, NaN or inf float."""
+    if isinstance(_number(k, what), (float, np.floating)) and not float(k).is_integer():
         raise ArgumentError(f"{what} {k!r} is not an integer")
     return int(k)
 
@@ -382,16 +385,20 @@ def from_rows(rows) -> NumArray:
 
 def colon_range(start, step, stop) -> NumArray:
     """Range row vector start:step:stop; empty 1x0 when direction is inconsistent."""
+    start, step, stop = (
+        float(_number(x, f"range {what}"))
+        for x, what in ((start, "start"), (step, "step"), (stop, "stop"))
+    )
     if step == 0:
         raise ArgumentError("range step must be nonzero")
-    if not all(math.isfinite(float(x)) for x in (start, step, stop)):
+    if not all(math.isfinite(x) for x in (start, step, stop)):
         raise ArgumentError(f"range {start}:{step}:{stop} needs finite start, step and stop")
-    q = (float(stop) - float(start)) / float(step)
+    q = (stop - start) / step
     if q < 0:
         n = 0
     else:
         n = int(math.floor(q + 4 * EPS * max(1.0, abs(q)))) + 1
-    return NumArray((1, n), float(start) + float(step) * np.arange(n, dtype=np.float64))
+    return NumArray((1, n), start + step * np.arange(n, dtype=np.float64))
 
 
 def magic(n: int) -> NumArray:

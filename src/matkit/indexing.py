@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BoolMask, NumArray, _integral, normalize_dims, wrap_ndarray
+from .core import BoolMask, NumArray, _integral, _number, normalize_dims, wrap_ndarray
 from .errors import ArgumentError, IndexBoundsError, ShapeError
 
 
@@ -52,13 +52,11 @@ class Span:
     __slots__ = ("start", "stop", "step")
 
     def __init__(self, start, stop, step=1):
-        if not float(step).is_integer():
-            raise ArgumentError(f"span step must be an integer, got {step!r}")
-        step = int(step)
+        step = _integral(step, "span step")
         if step == 0:
             raise ArgumentError("span step must be nonzero")
         for end in (start, stop):
-            if not isinstance(end, End) and not float(end).is_integer():
+            if not isinstance(end, End) and not float(_number(end, "span endpoint")).is_integer():
                 raise ArgumentError(f"span endpoint must be an integer, got {end!r}")
         self.start = start
         self.stop = stop

@@ -1,9 +1,12 @@
 """PRNG determinism, timing harness, scenario verification, CSV round trip."""
 
+import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import matkit.bench
 from matkit import (
@@ -14,6 +17,8 @@ from matkit import (
     VerificationError,
     built_in_scenarios,
     emit_csv,
+    from_rows,
+    ind2sub,
     parse_csv,
     run_scenario,
     time_it,
@@ -62,6 +67,18 @@ def test_randint_rejects_spread_beyond_float64_integers():
             Prng(6).randint(0, hi, (1, 4))
     r = Prng(6).randint(0, 2**53 - 1, (1, 1000))
     assert np.all(r.buf == np.floor(r.buf)) and r.buf.max() < 2.0**53
+
+
+def test_randint_bounds_must_be_integers():
+    # int(lo) set the spread but float(lo) was added back, so randint(1.5, 3)
+    # drew 1.5, 2.5 and 3.5; a string lo leaked a raw TypeError
+    with pytest.raises(ArgumentError, match="not an integer"):
+        Prng(1).randint(1.5, 3, (1, 6))
+    for lo, hi in (("1", 3), (1, "3"), (None, 3), (True, 3), ([1], 3)):
+        with pytest.raises(ArgumentError, match="must be a number"):
+            Prng(1).randint(lo, hi, (1, 6))
+    r = Prng(1).randint(np.float64(1.0), np.int64(3), (1, 100))
+    assert np.array_equal(r.buf, Prng(1).randint(1, 3, (1, 100)).buf)
 
 
 def test_randint_empty_shape_draws_nothing():
@@ -186,7 +203,7 @@ def test_corrupted_variant_aborts_before_timing():
             "bad": lambda: x + x + 1e-3,
         }
 
-    s = BenchScenario("corrupt", (50,), 1, 0.0, 0.0, setup)
+    s = BenchScenario("corrupt", 50, 1, setup)
     with pytest.raises(VerificationError, match="good.*bad|bad.*good"):
         run_scenario(s, seed=1)
 
@@ -199,9 +216,72 @@ def test_shape_mismatch_is_a_verification_error():
             "col": lambda: x.T,
         }
 
-    s = BenchScenario("mismatch", (50,), 1, 0.0, 0.0, setup)
+    s = BenchScenario("mismatch", 50, 1, setup)
     with pytest.raises(VerificationError, match="shape"):
         run_scenario(s, seed=1)
+
+
+def _pair(ref, other):
+    """A scenario whose two variants return the given results."""
+    return BenchScenario(
+        "pair", ref.numel, 1, lambda rng: {"ref": lambda: ref, "other": lambda: other}
+    )
+
+
+def test_variants_agreeing_on_inf_and_nan_verify():
+    # x - (x + 0) is NaN at inf and NaN, so max |delta| read nan and the
+    # scenario was rejected
+    x = from_rows([[1, math.inf, -math.inf, math.nan, -0.0]])
+    records = run_scenario(_pair(x, x + 0), seed=1)
+    assert [r.variant for r in records] == ["ref", "other"]
+
+
+def test_mismatch_names_subscript_and_values():
+    a = from_rows([[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]])
+    b = from_rows([[1, 2, 3, 4], [5, 6, 7.5, 8], [9, 10, 11, 12]])
+    want = "'ref' vs 'other' differ at (2, 3): 7.0 vs 7.5"
+    with pytest.raises(VerificationError, match=re.escape(want)):
+        run_scenario(_pair(a, b), seed=1)
+
+
+_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@st.composite
+def _special_arrays(draw):
+    dims = draw(st.one_of(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        st.tuples(st.just(1), st.integers(0, 6)),
+        st.tuples(st.integers(0, 6), st.just(1)),
+    ))
+    n = dims[0] * dims[1]
+    return NumArray(dims, draw(st.lists(_VALUES, min_size=n, max_size=n)))
+
+
+def _same(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+@_PROPERTY
+@given(st.data())
+def test_exact_contract_equal_copies_verify_and_any_change_is_named(data):
+    a = data.draw(_special_arrays())
+    # an equal copy, with the sign of every zero flipped: -0.0 equals 0.0
+    copy = NumArray(a.dims, np.where(a.buf == 0, -a.buf, a.buf))
+    assert len(run_scenario(_pair(a, copy), seed=1)) == 2
+    if not a.numel:
+        return
+    k = data.draw(st.integers(0, a.numel - 1))
+    old = float(a.buf[k])
+    changed = a.buf.copy()
+    changed[k] = data.draw(_VALUES.filter(lambda v: not _same(v, old)))
+    want = f"differ at {ind2sub(a.dims, k + 1)}:"
+    with pytest.raises(VerificationError, match=re.escape(want)):
+        run_scenario(_pair(a, NumArray(a.dims, changed)), seed=1)
 
 
 # --- CSV ---

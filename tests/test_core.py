@@ -200,6 +200,15 @@ def test_colon_range_rejects_non_finite():
                 colon_range(*args)
 
 
+def test_colon_range_bounds_must_be_numbers():
+    # "1" was read as 1 through float(), so colon_range("1", 1, 3) gave [1 2 3]
+    for args in (("1", 1, 3), (1, "1", 3), (1, 1, "3"), (None, 1, 3), (True, 1, 3),
+                 ([1], 1, 3), (1, 1, from_rows([[3]]))):
+        with pytest.raises(ArgumentError, match="must be a number"):
+            colon_range(*args)
+    assert_exact(colon_range(np.int64(1), np.float64(0.5), 2), [[1, 1.5, 2]])
+
+
 # --- magic squares ---
 
 def test_magic4_matches_reference():

@@ -89,6 +89,16 @@ def test_span_rejects_fractional_endpoints():
     assert_exact(magic(4)[span(1.0, 3.0)], [[16, 5, 9]])
 
 
+def test_span_parts_must_be_numbers():
+    # "2" was read as 2 through float(), so span("2", 3) selected [5, 9];
+    # None leaked a raw TypeError and "x" a raw ValueError
+    m = magic(4)
+    for args in (("2", 3), (1, "3"), (None, 3), (1, "x"), (True, 3), ([1], 3), (1, 3, "2")):
+        with pytest.raises(ArgumentError, match="must be a number"):
+            m[span(*args)]
+    assert_exact(m[span(np.int64(2), np.float64(3.0), np.int32(1))], [[5, 9]])
+
+
 def test_end_rejects_fractional_offset():
     # END - 1.5 was truncated to END - 1, so span(END - 1.5, END) read [12, 1]
     for k in (1.5, float("nan"), float("inf"), -float("inf")):
