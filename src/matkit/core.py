@@ -104,9 +104,14 @@ def _check_dim(dim, who: str, allowed=(1, 2)):
 
 def _number(x, what: str):
     """The one scalar type rule: x itself if it is an int or float (Python or
-    numpy); a bool, string, None, list or array is refused."""
+    numpy) that a double can hold; a bool, string, None, list or array is
+    refused, and so is an int beyond the largest double."""
     if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
         raise ArgumentError(f"{what} must be a number, got {type(x).__name__}")
+    try:
+        float(x)
+    except OverflowError:
+        raise ArgumentError(f"{what} is an int beyond the largest double") from None
     return x
 
 
@@ -394,11 +399,19 @@ def colon_range(start, step, stop) -> NumArray:
     if not all(math.isfinite(x) for x in (start, step, stop)):
         raise ArgumentError(f"range {start}:{step}:{stop} needs finite start, step and stop")
     q = (stop - start) / step
+    if not math.isfinite(q):
+        raise ArgumentError(f"range {start}:{step}:{stop} has no finite element count")
     if q < 0:
         n = 0
     else:
         n = int(math.floor(q + 4 * EPS * max(1.0, abs(q)))) + 1
-    return NumArray((1, n), start + step * np.arange(n, dtype=np.float64))
+    try:
+        ramp = np.arange(n, dtype=np.float64)
+    except (ValueError, MemoryError):  # beyond numpy's size limit, or refused outright
+        raise ArgumentError(
+            f"range {start}:{step}:{stop} has {q:.3g} elements, too many to allocate"
+        ) from None
+    return NumArray((1, n), start + step * ramp)
 
 
 def magic(n: int) -> NumArray:

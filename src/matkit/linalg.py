@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import NumArray, _check_rank2, wrap_ndarray
 from .errors import ArgumentError, ConvergenceError, ShapeError, SingularMatrixError
+from .ops import _ascending
 
 
 def matmul(a: NumArray, b: NumArray) -> NumArray:
@@ -43,7 +44,7 @@ def dot(a: NumArray, b: NumArray) -> float:
         raise ShapeError(f"dot length mismatch: {a.numel} vs {b.numel}")
     if a.numel == 0:
         return 0.0
-    return float(np.cumsum(a.buf * b.buf)[-1])
+    return float(_ascending(np.add, a.buf * b.buf, 0)[0])
 
 
 def mldivide(a: NumArray, b: NumArray) -> NumArray:

@@ -10,8 +10,11 @@ dimension is repeated without materializing copies.
 
 Reductions accumulate in ascending index order, deliberately: no pairwise or
 compensated summation, so a vectorized sum is bit-for-bit equal to the naive
-sequential loop over the same data. Elementwise maps may be parallelized
-freely by the backend; reductions stay sequential per slice.
+sequential loop over the same data. One helper, _ascending, does every such
+fold (reduce_along_dim here, linalg.dot too): it walks the reduced axis in
+slabs of at most _SLAB elements and scans each slab from the running partial
+result, so no scan as large as the input is ever built. Elementwise maps may
+be parallelized freely by the backend; reductions stay sequential per slice.
 """
 
 from __future__ import annotations
@@ -99,12 +102,42 @@ def ew_unary(op: str, a: NumArray) -> NumArray:
     return NumArray(a.dims, out)
 
 
+# Elements per scan slab in _ascending (128 KiB of doubles). numpy's
+# accumulate runs one inner loop per lane, so a scan pays off only while a
+# slab holds few lanes; wider slices are cheaper as in-place steps.
+_SLAB = 1 << 14
+
+
+def _ascending(ufunc, v: np.ndarray, ax: int) -> np.ndarray:
+    """ufunc folded along axis ax in ascending index order; ax is kept, extent 1.
+
+    Bit for bit the last slice of ufunc.accumulate(v, axis=ax), without a scan
+    as large as v. The axis is walked in slabs of at most _SLAB elements; each
+    slab is scanned from the running partial result, carried as the left
+    operand (acc + v[k], the sequential order). When one slice alone fills a
+    slab, each step is a single in-place ufunc(acc, v[k]). v must have a
+    nonzero extent along ax.
+    """
+    v = np.moveaxis(v, ax, 0)  # a view: the reduced axis first, no data copied
+    rows = max(1, _SLAB // max(1, v[0].size))
+    acc = ufunc.accumulate(v[:rows], axis=0)[-1:]  # the first slab needs no carry
+    for k in range(rows, len(v), rows):
+        if rows == 1:
+            ufunc(acc, v[k:k + 1], out=acc)
+        else:
+            scan = np.concatenate((acc, v[k:k + rows]))
+            ufunc.accumulate(scan, axis=0, out=scan)
+            acc = scan[-1:]
+    return np.moveaxis(acc, 0, ax)
+
+
 def reduce_along_dim(kind: str, a: NumArray, dim: int) -> NumArray:
     """Sum/prod/mean along dim, collapsing its extent to 1.
 
-    Accumulation is strictly ascending-index (a cumulative scan's last
-    element), never pairwise. Reducing past the rank is the identity, since
-    the implicit trailing dimension is a singleton.
+    Accumulation is strictly ascending-index, never pairwise: a slab-bounded
+    ascending scan (_ascending), bit for bit the sequential loop. Reducing
+    past the rank is the identity, since the implicit trailing dimension is a
+    singleton.
     """
     if kind not in ("sum", "prod", "mean"):
         raise ArgumentError(f"unknown reduction {kind!r}")
@@ -117,9 +150,10 @@ def reduce_along_dim(kind: str, a: NumArray, dim: int) -> NumArray:
     if n == 0:  # an empty slice reduces to the identity: sum 0, prod 1, mean NaN
         fill = 0.0 if kind == "sum" else (1.0 if kind == "prod" else np.nan)
         return wrap_ndarray(np.full_like(v.sum(axis=ax, keepdims=True), fill))
-    scan = np.cumsum(v, axis=ax) if kind in ("sum", "mean") else np.cumprod(v, axis=ax)
-    out = np.take(scan, [-1], axis=ax)
-    return wrap_ndarray(out / n if kind == "mean" else out)
+    out = _ascending(np.multiply if kind == "prod" else np.add, v, ax)
+    if kind == "mean":
+        out /= n
+    return wrap_ndarray(out)
 
 
 def cumsum_along_dim(a: NumArray, dim: int) -> NumArray:

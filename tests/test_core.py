@@ -209,6 +209,28 @@ def test_colon_range_bounds_must_be_numbers():
     assert_exact(colon_range(np.int64(1), np.float64(0.5), 2), [[1, 1.5, 2]])
 
 
+def test_numbers_beyond_the_largest_double_are_refused():
+    # float(10**400) raised a raw OverflowError inside colon_range and span
+    from matkit import span
+    for call in (lambda: colon_range(10**400, 1, 5), lambda: colon_range(1, -10**400, 5),
+                 lambda: span(10**400, 3), lambda: span(1, -10**400)):
+        with pytest.raises(ArgumentError, match="beyond the largest double"):
+            call()
+    big = 2**1023  # a double holds it exactly
+    assert colon_range(big, 1, big).to_list() == [float(big)]
+
+
+def test_colon_range_refuses_counts_it_cannot_allocate():
+    # a raw numpy ValueError ("Maximum allowed size exceeded") and a raw
+    # OverflowError from math.floor(inf); no allocation is attempted
+    for args, match in (((1, 1e-300, 2), "1e\\+300 elements"),
+                        ((0, 1, 2**62), "elements, too many"),
+                        ((-1e308, 1e-300, 1e308), "no finite element count")):
+        with pytest.raises(ArgumentError, match=match) as err:
+            colon_range(*args)
+        assert "range " in str(err.value)
+
+
 # --- magic squares ---
 
 def test_magic4_matches_reference():

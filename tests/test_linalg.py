@@ -87,6 +87,19 @@ def test_dot_matches_scalar_loop_bit_for_bit():
         assert dot(a, b) == acc
 
 
+def test_dot_is_the_ascending_loop_across_slabs():
+    # one ascending path with reduce_along_dim: several slabs, signed zeros kept
+    from matkit import Prng, ops
+    a, b = Prng(56).normal((3 * ops._SLAB + 5, 1)), Prng(57).normal((3 * ops._SLAB + 5, 1))
+    p = [x * y for x, y in zip(a.to_list(), b.to_list())]
+    acc = p[0]
+    for x in p[1:]:
+        acc = acc + x
+    assert np.float64(dot(a, b)).view(np.uint64) == np.float64(acc).view(np.uint64)
+    neg_zero = dot(from_rows([[-1.0]]), from_rows([[0.0]]))
+    assert neg_zero == 0.0 and math.copysign(1.0, neg_zero) == -1.0
+
+
 # --- mldivide ---
 
 def test_mldivide_examples():

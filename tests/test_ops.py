@@ -1,6 +1,7 @@
 """Broadcasting rules, elementwise ops, reductions, extrema, and merge."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from matkit import (
     repmat,
     zeros,
 )
+from matkit import ops
 from matkit.core import normalize_dims, wrap_ndarray
 
 from helpers import assert_exact, max_abs_diff
@@ -365,3 +367,73 @@ def test_broadcast_callers_reject_incompatible_shapes(data):
     for call in calls:
         with pytest.raises(BroadcastError):
             call()
+
+
+# --- reductions against the scalar ascending loop ---
+
+def _loop_reduce(kind, view, dim):
+    """The oracle: per lane, acc = acc + x (or acc * x) in ascending order."""
+    if dim > view.ndim:
+        return view
+    v = np.moveaxis(view, dim - 1, 0)
+    out = np.empty(v.shape[1:])
+    for lane in np.ndindex(v.shape[1:]):
+        xs = [float(x) for x in v[(slice(None),) + lane]]
+        if not xs:
+            out[lane] = {"sum": 0.0, "prod": 1.0, "mean": math.nan}[kind]
+            continue
+        acc = xs[0]
+        for x in xs[1:]:
+            acc = acc * x if kind == "prod" else acc + x
+        out[lane] = acc / len(xs) if kind == "mean" else acc
+    return np.expand_dims(out, dim - 1)
+
+
+def _assert_same_bits(got: NumArray, want: np.ndarray):
+    """uint64 bits equal everywhere, except that any NaN matches any NaN."""
+    assert got.dims == normalize_dims(want.shape)
+    g, w = got.buf, np.ravel(want, order="F")
+    nan = np.isnan(w)
+    assert np.array_equal(np.isnan(g), nan)
+    assert np.array_equal(g[~nan].view(np.uint64), w[~nan].view(np.uint64))
+
+
+@_PROPERTY
+@given(st.data())
+def test_reduce_along_dim_matches_scalar_loop(data):
+    dims = tuple(data.draw(st.lists(st.integers(0, 6), min_size=2, max_size=3)))
+    # plain decimals too: a carry added out of order changes their rounding
+    value = st.one_of(st.sampled_from(_SPECIALS), st.floats(width=64), st.floats(-100, 100))
+    n = int(np.prod(dims))
+    a = NumArray(dims, data.draw(st.lists(value, min_size=n, max_size=n)))
+    slab = data.draw(st.sampled_from([1, 2, 3, 5, 8, ops._SLAB]))
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(ops, "_SLAB", slab)  # small slabs: small shapes cross boundaries
+        for kind in ("sum", "prod", "mean"):
+            for dim in (1, 2, 3):
+                _assert_same_bits(reduce_along_dim(kind, a, dim), _loop_reduce(kind, a.view(), dim))
+
+
+@pytest.mark.parametrize("dims, dim", [((3, 70000), 2), ((70000, 2), 1), ((70000, 3), 2)])
+def test_reduce_across_real_slab_boundaries(dims, dim):
+    # several slabs of a few lanes, several slabs of two lanes, one slice per
+    # step; values near 1 keep every product finite and every sum rounding
+    x = 1.0 + 1e-3 * Prng(23).normal(dims).view()
+    np.moveaxis(x, dim - 1, 0)[:3, 0] = [-0.0, np.inf, np.nan]  # all in the first lane
+    a = wrap_ndarray(x)
+    with np.errstate(all="ignore"):
+        for kind in ("sum", "prod", "mean"):
+            _assert_same_bits(reduce_along_dim(kind, a, dim), _loop_reduce(kind, x, dim))
+
+
+def test_reduce_builds_no_input_sized_scan():
+    # a full cumsum of this input would be 8 MB for a 1.6 MB result
+    a = Prng(5).normal((400, 5, 500))
+    out_bytes = 400 * 500 * 8
+    tracemalloc.start()
+    try:
+        reduce_along_dim("sum", a, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out_bytes + ops._SLAB * 8
