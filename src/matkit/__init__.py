@@ -15,7 +15,6 @@ The pieces:
 from .core import (
     EPS,
     BoolMask,
-    BroadcastPlan,
     NumArray,
     broadcast_shapes,
     cat,

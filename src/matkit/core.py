@@ -26,7 +26,6 @@ column-major layout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import zip_longest
 
 import numpy as np
@@ -66,15 +65,9 @@ def _trim(shape: tuple) -> tuple:
     return shape
 
 
-@dataclass(frozen=True)
-class BroadcastPlan:
-    """Result shape of a broadcast; extent-1 dimensions repeat their slice."""
-
-    result_dims: tuple
-
-
-def broadcast_shapes(a_dims, b_dims) -> BroadcastPlan:
-    """Combine two shapes under the singleton-expansion rule."""
+def broadcast_shapes(a_dims, b_dims) -> tuple:
+    """Result dims of combining two shapes under the singleton-expansion rule:
+    an extent-1 dimension repeats its slice."""
     out = []
     for t, (da, db) in enumerate(zip_longest(a_dims, b_dims, fillvalue=1)):
         if da == db:
@@ -87,7 +80,7 @@ def broadcast_shapes(a_dims, b_dims) -> BroadcastPlan:
             raise BroadcastError(
                 f"dimension {t + 1}: extents {da} and {db} are incompatible"
             )
-    return BroadcastPlan(result_dims=normalize_dims(out))
+    return normalize_dims(out)
 
 
 def _check_rank2(a, who: str):
@@ -367,7 +360,7 @@ def ones(dims) -> NumArray:
 
 def full(dims, value) -> NumArray:
     dims = normalize_dims(dims)
-    return NumArray(dims, np.full(numel_of(dims), float(value)))
+    return NumArray(dims, np.full(numel_of(dims), float(_number(value, "fill value"))))
 
 
 def from_rows(rows) -> NumArray:
@@ -414,6 +407,14 @@ def colon_range(start, step, stop) -> NumArray:
     return NumArray((1, n), start + step * ramp)
 
 
+def _square_grid(n: int, what: str):
+    """The (row, column) 0-based index grids of an n x n matrix, as np.mgrid."""
+    try:
+        return np.mgrid[0:n, 0:n]
+    except (ValueError, MemoryError):  # beyond numpy's size limit, or refused outright
+        raise ArgumentError(f"{what} {n} is too large to allocate") from None
+
+
 def magic(n: int) -> NumArray:
     """Magic square of doubly-even order n (n divisible by 4).
 
@@ -425,7 +426,7 @@ def magic(n: int) -> NumArray:
         raise ArgumentError(f"magic order must be a positive integer, got {n!r}")
     if n % 4 != 0:
         raise ArgumentError(f"unsupported magic order {n}: only doubly-even (n % 4 == 0)")
-    i, j = np.mgrid[0:n, 0:n]
+    i, j = _square_grid(n, "magic order")
     m = (i * n + j + 1).astype(np.float64)
     flip = (i % 4 == j % 4) | ((i % 4) + (j % 4) == 3)
     m[flip] = n * n + 1 - m[flip]
@@ -581,4 +582,5 @@ def diff_adjacent(a: NumArray, dim: int) -> NumArray:
     _check_rank2(a, "diff")
     if a.dims[dim - 1] < 1:
         raise ArgumentError("diff needs extent >= 1 along dim")
-    return wrap_ndarray(np.diff(a.view(), axis=dim - 1))
+    with np.errstate(all="ignore"):  # inf - inf is NaN and overflow is inf, as IEEE-754 says
+        return wrap_ndarray(np.diff(a.view(), axis=dim - 1))

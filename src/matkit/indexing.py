@@ -1,12 +1,15 @@
-"""Index expressions and logical-mask indexing, all 1-based.
+"""Index expressions, all 1-based; a logical mask is one more selector.
 
 An IndexExpr is either one selector per dimension (Cartesian selection) or a
 single selector applied to the column-major flattening (linear form). A
-selector is ALL, a scalar, a stepped range, or an explicit list; scalar
+selector is ALL, a scalar, a stepped range, an explicit list, or a BoolMask
+with one bit per position (``A(A < 8)`` is ``A(find(A < 8))``); scalar
 positions may be written relative to the end of the dimension via END, e.g.
 ``span(END - 1, END)`` for Octave's ``end-1:end``. Linear extraction keeps
-the index expression's own shape (a range reads as a row) except the
-whole-array selector, which always yields a column.
+the index expression's own shape (a range reads as a row) except ALL and a
+mask, which always yield a column. Assignment takes a scalar rhs, or in the
+linear form one element per selected cell (Octave's ``A(I) = B``), in the
+Cartesian form an array of exactly the selection's shape.
 """
 
 from __future__ import annotations
@@ -77,10 +80,19 @@ def span(start, stop, step=1) -> Span:
     return Span(start, stop, step)
 
 
+def _mask_bits(mask: BoolMask, extent: int, what: str) -> np.ndarray:
+    """The one size check of a mask selector: its numel must be the extent."""
+    if mask.numel != extent:
+        raise ShapeError(f"{what}: mask has {mask.numel} elements for extent {extent}")
+    return mask.bits
+
+
 def _resolve_selector(sel, extent: int, what: str) -> np.ndarray:
     """Selector -> 0-based positions; raises naming the first offending index."""
     if sel is ALL:
         return np.arange(extent, dtype=np.intp)
+    if isinstance(sel, BoolMask):
+        return np.flatnonzero(_mask_bits(sel, extent, what))
     if isinstance(sel, Span):
         idx = sel.resolve(extent)
     elif isinstance(sel, End):
@@ -136,8 +148,8 @@ class IndexExpr:
         """Resolve the linear form: (0-based positions, result dims)."""
         sel = self.linear_sel
         pos = _resolve_selector(sel, a.numel, "linear index")
-        if sel is ALL:
-            dims = (a.numel, 1)  # A(:) is always a column
+        if sel is ALL or isinstance(sel, BoolMask):
+            dims = (pos.size, 1)  # A(:) and A(mask) are always columns
         elif isinstance(sel, NumArray):
             dims = sel.dims
         elif isinstance(sel, (int, np.integer, End)):
@@ -169,8 +181,9 @@ def extract(a: NumArray, ix: IndexExpr) -> NumArray:
     return wrap_ndarray(out)
 
 
-def _is_vector(a: NumArray) -> bool:
-    return a.rank == 2 and (a.rows <= 1 or a.cols <= 1)
+def _vector_dims(a: NumArray, n: int) -> tuple:
+    """An n-element vector made from a: a column stays a column, anything else a row."""
+    return (n, 1) if (a.rank == 2 and a.cols == 1 and a.rows > 1) else (1, n)
 
 
 def _is_scalar_rhs(rhs) -> bool:
@@ -187,10 +200,11 @@ def _is_scalar_rhs(rhs) -> bool:
 def assign_indexed(a: NumArray, ix: IndexExpr, rhs) -> NumArray:
     """Replace the selected cells, returning a new array.
 
-    rhs is an array of exactly the selection's shape, or a scalar broadcast
-    into every selected cell. A vector indexed linearly past its end grows
-    with zero fill (rows stay rows, columns stay columns); matrices never
-    auto-grow.
+    rhs is a scalar broadcast into every selected cell, or an array: in the
+    linear form it holds one element per selected cell, taken in column-major
+    order; in the Cartesian form it has exactly the selection's shape. A
+    vector indexed linearly past its end grows with zero fill (rows stay
+    rows, columns stay columns); matrices never auto-grow.
     """
     scalar_rhs = _is_scalar_rhs(rhs)
     if ix.is_linear:
@@ -199,22 +213,22 @@ def assign_indexed(a: NumArray, ix: IndexExpr, rhs) -> NumArray:
             scalar_rhs
             and isinstance(sel, (int, np.integer))
             and not isinstance(sel, bool)
-            and _is_vector(a)
+            and a.rank == 2
+            and min(a.dims) <= 1
             and int(sel) > a.numel
         ):
             k = int(sel)
             grown = np.zeros(k)
             grown[: a.numel] = a.buf
             grown[k - 1] = float(rhs)
-            dims = (k, 1) if (a.cols == 1 and a.rows > 1) else (1, k)
-            return NumArray(dims, grown)
-        pos, dims = ix._linear_positions(a)
+            return NumArray(_vector_dims(a, k), grown)
+        pos, _ = ix._linear_positions(a)
         buf = a.buf.copy()
         if scalar_rhs:
             buf[pos] = float(rhs)
         else:
-            if rhs.dims != dims:
-                raise ShapeError(f"assignment rhs shape {rhs.dims} != selection shape {dims}")
+            if rhs.numel != pos.size:
+                raise ShapeError(f"assignment rhs has {rhs.numel} elements for {pos.size} cells")
             buf[pos] = rhs.buf
         return NumArray(a.dims, buf)
 
@@ -233,52 +247,37 @@ def assign_indexed(a: NumArray, ix: IndexExpr, rhs) -> NumArray:
 def delete_elements(a: NumArray, where) -> NumArray:
     """Drop the addressed elements, keeping the rest in column-major order.
 
-    The result is a row vector, except that deleting from a column vector
-    yields a column vector.
+    where is an IndexExpr or a BoolMask (the linear selector A(mask)). The
+    result is a row vector, except that deleting from a column vector yields
+    a column vector.
     """
-    drop = np.zeros(a.numel, dtype=bool)
     if isinstance(where, BoolMask):
-        if where.numel != a.numel:
-            raise ShapeError(f"mask numel {where.numel} != array numel {a.numel}")
-        drop = where.bits
-    elif isinstance(where, IndexExpr):
-        if where.is_linear:
-            pos, _ = where._linear_positions(a)
-            drop[pos] = True
-        else:
-            per_dim = where._cartesian_positions(a)
-            sub = np.zeros(a.dims, dtype=bool)
-            sub[np.ix_(*per_dim)] = True
-            drop = wrap_ndarray(sub).bits
-    else:
+        where = IndexExpr.linear(where)
+    elif not isinstance(where, IndexExpr):
         raise ArgumentError(f"delete target must be an IndexExpr or BoolMask, got {where!r}")
+    if where.is_linear:
+        sel = where.linear_sel
+        if isinstance(sel, BoolMask):  # the mask's bits are the drop set; no positions built
+            drop = _mask_bits(sel, a.numel, "linear index")
+        else:
+            drop = np.zeros(a.numel, dtype=bool)
+            drop[where._linear_positions(a)[0]] = True
+    else:
+        sub = np.zeros(a.dims, dtype=bool)
+        sub[np.ix_(*where._cartesian_positions(a))] = True
+        drop = wrap_ndarray(sub).bits
     kept = a.buf[~drop]
-    if a.rank == 2 and a.cols == 1 and a.rows > 1:
-        return NumArray((kept.size, 1), kept)
-    return NumArray((1, kept.size), kept)
+    return NumArray(_vector_dims(a, kept.size), kept)
 
 
 def logical_extract(a: NumArray, mask: BoolMask) -> NumArray:
-    """Elements where the mask is true, column-major, as an nx1 column."""
-    if mask.numel != a.numel:
-        raise ShapeError(f"mask numel {mask.numel} != array numel {a.numel}")
-    taken = a.buf[mask.bits]
-    return NumArray((taken.size, 1), taken)
+    """A(mask): the elements where the mask is true, column-major, as a column."""
+    return extract(a, IndexExpr.linear(mask))
 
 
 def logical_assign(a: NumArray, mask: BoolMask, rhs) -> NumArray:
-    """Replace masked cells in column-major order with a scalar or a vector."""
-    if mask.numel != a.numel:
-        raise ShapeError(f"mask numel {mask.numel} != array numel {a.numel}")
-    buf = a.buf.copy()
-    if _is_scalar_rhs(rhs):
-        buf[mask.bits] = float(rhs)
-    else:
-        k = mask.count()
-        if rhs.numel != k:
-            raise ShapeError(f"rhs has {rhs.numel} elements for {k} masked cells")
-        buf[mask.bits] = rhs.buf
-    return NumArray(a.dims, buf)
+    """A(mask) = rhs: a scalar, or one element per true bit in column-major order."""
+    return assign_indexed(a, IndexExpr.linear(mask), rhs)
 
 
 def any_true(mask: BoolMask) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumArray, _check_rank2, wrap_ndarray
+from .core import NumArray, _check_rank2, _square_grid, wrap_ndarray
 from .errors import ArgumentError, ConvergenceError, ShapeError, SingularMatrixError
 from .ops import _ascending
 
@@ -27,10 +27,15 @@ def matmul(a: NumArray, b: NumArray) -> NumArray:
     _check_rank2(b, "matmul")
     if a.cols != b.rows:
         raise ShapeError(f"matmul inner dims differ: {a.dims} by {b.dims}")
+    if a.cols == 0:
+        return wrap_ndarray(np.zeros((a.rows, b.cols)))
     va, vb = a.view(), b.view()
-    acc = np.zeros((a.rows, b.cols))
-    for k in range(a.cols):
-        acc = acc + np.outer(va[:, k], vb[k, :])
+    with np.errstate(all="ignore"):  # inf - inf is NaN and overflow is inf, as IEEE-754 says
+        # the fold starts from the k = 1 product, as dot's does: from +0.0 it
+        # would turn a -0.0 sum into +0.0
+        acc = np.outer(va[:, 0], vb[0, :])
+        for k in range(1, a.cols):
+            acc += np.outer(va[:, k], vb[k, :])
     return wrap_ndarray(acc)
 
 
@@ -44,7 +49,8 @@ def dot(a: NumArray, b: NumArray) -> float:
         raise ShapeError(f"dot length mismatch: {a.numel} vs {b.numel}")
     if a.numel == 0:
         return 0.0
-    return float(_ascending(np.add, a.buf * b.buf, 0)[0])
+    with np.errstate(all="ignore"):  # an overflowing product is inf
+        return float(_ascending(np.add, a.buf * b.buf, 0)[0])
 
 
 def mldivide(a: NumArray, b: NumArray) -> NumArray:
@@ -131,9 +137,12 @@ def eig_sym(s: NumArray, max_sweeps: int = 100) -> EigResult:
     a = s.view()
     if not np.isfinite(a).all():
         raise ArgumentError("eig_sym input holds NaN or inf")
-    norm = _inf_norm(a)
-    if _inf_norm(a - a.T) > 1e-9 * norm:
-        raise ArgumentError("eig_sym input is not symmetric")
+    with np.errstate(over="ignore"):
+        norm = _inf_norm(a)
+        if not math.isfinite(norm):
+            raise ArgumentError("eig_sym input's infinity norm overflows")
+        if _inf_norm(a - a.T) > 1e-9 * norm:
+            raise ArgumentError("eig_sym input is not symmetric")
     # m on top of v: one column rotation of w turns the columns of both.
     w = np.vstack((a, np.eye(d)))
     m, v = w[:d], w[d:]
@@ -189,7 +198,7 @@ def dctmtx(n: int) -> NumArray:
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ArgumentError(f"dctmtx order must be a positive integer, got {n!r}")
-    i, j = np.mgrid[0:n, 0:n]
+    i, j = _square_grid(n, "dctmtx order")
     t = math.sqrt(2.0 / n) * np.cos(np.pi * (2 * j + 1) * i / (2.0 * n))
     t[0, :] = 1.0 / math.sqrt(n)
     return wrap_ndarray(t)

@@ -45,7 +45,7 @@ def _broadcast_apply(fn, *operands):
     """
     dims = operands[0].dims
     for x in operands[1:]:
-        dims = broadcast_shapes(dims, x.dims).result_dims
+        dims = broadcast_shapes(dims, x.dims)
     # operand dims are normalized, so no operand outranks the result
     views = (x.view().reshape(x.dims + (1,) * (len(dims) - len(x.dims))) for x in operands)
     return wrap_ndarray(fn(*views))
@@ -79,7 +79,7 @@ _UNARY = {
 
 def ew_binary(op: str, a, b) -> NumArray:
     """Elementwise +, -, *, /, ^ with broadcasting and IEEE-754 semantics."""
-    if op not in _BINARY:
+    if not isinstance(op, str) or op not in _BINARY:
         raise ArgumentError(f"unknown elementwise operator {op!r}")
     with np.errstate(all="ignore"):
         return _broadcast_apply(_BINARY[op], _coerce(a), _coerce(b))
@@ -87,7 +87,7 @@ def ew_binary(op: str, a, b) -> NumArray:
 
 def compare(op: str, a, b) -> BoolMask:
     """Elementwise comparison; any comparison with NaN is false except !=."""
-    if op not in _COMPARE:
+    if not isinstance(op, str) or op not in _COMPARE:
         raise ArgumentError(f"unknown comparison {op!r}")
     with np.errstate(invalid="ignore"):
         return _broadcast_apply(_COMPARE[op], _coerce(a), _coerce(b))
@@ -95,7 +95,7 @@ def compare(op: str, a, b) -> BoolMask:
 
 def ew_unary(op: str, a: NumArray) -> NumArray:
     """Elementwise abs/sqrt/neg/cos/sin; sqrt of a negative is NaN."""
-    if op not in _UNARY:
+    if not isinstance(op, str) or op not in _UNARY:
         raise ArgumentError(f"unknown unary operator {op!r}")
     with np.errstate(all="ignore"):
         out = _UNARY[op](a.buf)
@@ -120,14 +120,15 @@ def _ascending(ufunc, v: np.ndarray, ax: int) -> np.ndarray:
     """
     v = np.moveaxis(v, ax, 0)  # a view: the reduced axis first, no data copied
     rows = max(1, _SLAB // max(1, v[0].size))
-    acc = ufunc.accumulate(v[:rows], axis=0)[-1:]  # the first slab needs no carry
-    for k in range(rows, len(v), rows):
-        if rows == 1:
-            ufunc(acc, v[k:k + 1], out=acc)
-        else:
-            scan = np.concatenate((acc, v[k:k + rows]))
-            ufunc.accumulate(scan, axis=0, out=scan)
-            acc = scan[-1:]
+    with np.errstate(all="ignore"):  # inf - inf is NaN and overflow is inf, as IEEE-754 says
+        acc = ufunc.accumulate(v[:rows], axis=0)[-1:]  # the first slab needs no carry
+        for k in range(rows, len(v), rows):
+            if rows == 1:
+                ufunc(acc, v[k:k + 1], out=acc)
+            else:
+                scan = np.concatenate((acc, v[k:k + rows]))
+                ufunc.accumulate(scan, axis=0, out=scan)
+                acc = scan[-1:]
     return np.moveaxis(acc, 0, ax)
 
 
@@ -160,7 +161,8 @@ def cumsum_along_dim(a: NumArray, dim: int) -> NumArray:
     """Running prefix sums along dim; same shape as the input."""
     _check_dim(dim, "cumsum")
     _check_rank2(a, "cumsum")
-    return wrap_ndarray(np.cumsum(a.view(), axis=dim - 1))
+    with np.errstate(all="ignore"):
+        return wrap_ndarray(np.cumsum(a.view(), axis=dim - 1))
 
 
 def extremum(kind: str, a: NumArray, dim: int):

@@ -244,7 +244,6 @@ def test_mismatch_names_subscript_and_values():
         run_scenario(_pair(a, b), seed=1)
 
 
-_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 _VALUES = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
     st.floats(-1e3, 1e3, allow_nan=False),
@@ -266,7 +265,7 @@ def _same(x, y):
     return x == y or (math.isnan(x) and math.isnan(y))
 
 
-@_PROPERTY
+@settings(max_examples=100)
 @given(st.data())
 def test_exact_contract_equal_copies_verify_and_any_change_is_named(data):
     a = data.draw(_special_arrays())

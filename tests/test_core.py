@@ -70,10 +70,16 @@ def test_ones_and_value_fill():
     assert v.buf.tolist() == [6.5, 6.5, 6.5, 6.5]
 
 
+def test_fill_value_must_be_a_number():
+    # "3" silently became 3.0 and an array leaked a raw TypeError
+    from matkit import full
+    for value in ("3", np.ones(2), None, True, [1.0]):
+        with pytest.raises(ArgumentError, match="fill value must be a number"):
+            full((2, 2), value)
+    assert full((1, 2), np.int32(3)).buf.tolist() == [3, 3]
+
+
 # --- the two constructors (property tests) ---
-
-_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
-
 
 @st.composite
 def _nd_arrays(draw):
@@ -106,7 +112,7 @@ def _nd_arrays(draw):
     return np.transpose(base, perm)
 
 
-@_PROPERTY
+@settings(max_examples=200)
 @given(_nd_arrays())
 def test_wrap_ndarray_is_the_column_major_flattening(arr):
     got = wrap_ndarray(arr)
@@ -128,7 +134,7 @@ def test_wrap_ndarray_rejects_rank_below_2():
             wrap_ndarray(arr)
 
 
-@_PROPERTY
+@settings(max_examples=200)
 @given(st.data())
 def test_validating_constructors_reject_bad_dims_and_buffers(data):
     dims = data.draw(st.lists(st.integers(0, 3), min_size=2, max_size=4))
@@ -251,6 +257,12 @@ def test_magic_rejects_unsupported_orders():
     for n in (3, 5, 6, 10):
         with pytest.raises(ArgumentError):
             magic(n)
+
+
+def test_magic_refuses_orders_it_cannot_allocate():
+    # a raw numpy ValueError leaked; numpy refuses 2**70 before allocating
+    with pytest.raises(ArgumentError, match="too large"):
+        magic(2**70)
 
 
 # --- reshape ---
@@ -542,6 +554,12 @@ def test_unique_sorted():
 def test_diff_adjacent():
     assert_exact(diff_adjacent(from_rows([[1, 4, 9, 16]]), 2), [[3, 5, 7]])
     assert_exact(diff_adjacent(from_rows([[7, 7, 7]]), 2), [[0, 0]])
+
+
+def test_diff_gives_ieee_results_without_warnings():
+    # overflow and inf - inf raised under the suite's error::RuntimeWarning filter
+    inf = math.inf
+    assert_exact(diff_adjacent(from_rows([[-1e308, 1e308, inf, inf]]), 2), [[inf, inf, math.nan]])
 
 
 def test_diff_inverts_cumsum_on_integers():

@@ -178,7 +178,6 @@ def test_distance_strategies_agree_300_points():
 
 
 _STRATEGIES = ("loop3", "rowBroadcast", "fullBroadcast")
-_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
@@ -189,7 +188,7 @@ def _point_sets(draw):
     return NumArray((n, d), draw(st.lists(value, min_size=n * d, max_size=n * d)))
 
 
-@_PROPERTY
+@settings(max_examples=100)
 @given(_point_sets())
 def test_distance_strategies_bitwise_equal(p):
     with np.errstate(over="ignore"):

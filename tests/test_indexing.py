@@ -1,12 +1,16 @@
 """Index expressions, logical indexing, deletion, and growth semantics."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matkit import (
     ALL,
     END,
     ArgumentError,
+    BoolMask,
     IndexBoundsError,
     IndexExpr,
     NumArray,
@@ -24,6 +28,7 @@ from matkit import (
     logical_extract,
     magic,
     reduce_along_dim,
+    reshape,
     span,
     zeros,
 )
@@ -318,6 +323,140 @@ def test_mean_of_extracted_matches_loop_bit_for_bit():
             c += 1
     vec = reduce_along_dim("mean", logical_extract(r, r > 50), 1).item()
     assert vec == s / c
+
+
+# --- a mask is a selector ---
+
+def test_getitem_with_a_mask_is_logical_indexing():
+    m = magic(4)
+    got = m[m < 8]  # the paper's M(M < 8)
+    assert got.dims == (7, 1)
+    assert got.buf.tolist() == [5, 4, 2, 7, 3, 6, 1]
+
+
+def test_mask_selects_along_one_dimension():
+    m = magic(4)
+    cols = from_rows([[1, 0, 1, 0]]) == 1
+    want = [[16, 3], [5, 10], [9, 6], [4, 15]]
+    assert_exact(extract(m, IndexExpr.of(ALL, cols)), want)  # Octave's A(:, mask)
+    assert_exact(m[ALL, cols], want)
+    rows = from_rows([[0], [1], [0], [1]]) == 1  # any shape with one bit per row
+    assert_exact(m[rows, cols], [[5, 10], [4, 15]])
+    got = assign_indexed(m, IndexExpr.of(ALL, cols), from_rows([[1, 2], [3, 4], [5, 6], [7, 8]]))
+    assert_exact(got, [[1, 2, 2, 13], [3, 11, 4, 8], [5, 7, 6, 12], [7, 14, 8, 1]])
+    with pytest.raises(ShapeError):  # the Cartesian form keeps its exact-shape rule
+        assign_indexed(m, IndexExpr.of(ALL, cols), from_rows([[1, 2, 3, 4, 5, 6, 7, 8]]))
+    kept = delete_elements(m, IndexExpr.of(ALL, cols))
+    assert kept.buf.tolist() == [2, 11, 7, 14, 13, 8, 12, 1]
+
+
+def test_mask_of_the_wrong_size_is_a_shape_error():
+    m = magic(4)
+    short = zeros((2, 2)) == 0  # 4 bits: one per row, but not one per element
+    for call in (
+        lambda: extract(m, IndexExpr.linear(short)),
+        lambda: m[short],
+        lambda: logical_extract(m, short),
+        lambda: logical_assign(m, short, 0.0),
+        lambda: delete_elements(m, short),
+        lambda: delete_elements(m, IndexExpr.linear(short)),
+    ):
+        with pytest.raises(ShapeError, match="linear index: mask has 4 elements for extent 16"):
+            call()
+    assert_exact(m[short, 1], [[16], [5], [9], [4]])
+    with pytest.raises(ShapeError, match="dimension 2: mask has 3 elements for extent 4"):
+        assign_indexed(m, IndexExpr.of(ALL, zeros((1, 3)) == 0), 0.0)
+
+
+def test_linear_assignment_takes_one_rhs_element_per_cell():
+    # Octave's A(I) = B: B is a scalar or numel(B) == numel(I), whatever its shape
+    m = magic(4)
+    got = assign_indexed(m, IndexExpr.linear([1, 2, 3]), from_rows([[7], [8], [9]]))
+    assert got.buf.tolist()[:4] == [7, 8, 9, 4]
+    got = assign_indexed(m, IndexExpr.linear(span(1, 4)), reshape(from_rows([[1, 2, 3, 4]]), (2, 2)))
+    assert got.buf.tolist()[:5] == [1, 2, 3, 4, 2]
+    with pytest.raises(ShapeError, match="rhs has 3 elements for 2 cells"):
+        assign_indexed(m, IndexExpr.linear([1, 2]), from_rows([[7, 8, 9]]))
+    with pytest.raises(ShapeError, match="rhs has 2 elements for 7 cells"):
+        logical_assign(m, m < 8, from_rows([[1, 2]]))
+
+
+# --- the mask selector against the former mask bodies (differential) ---
+
+def _former_logical_extract(a, mask):
+    if mask.numel != a.numel:
+        raise ShapeError(f"mask numel {mask.numel} != array numel {a.numel}")
+    taken = a.buf[mask.bits]
+    return NumArray((taken.size, 1), taken)
+
+
+def _former_logical_assign(a, mask, rhs):
+    if mask.numel != a.numel:
+        raise ShapeError(f"mask numel {mask.numel} != array numel {a.numel}")
+    buf = a.buf.copy()
+    if not isinstance(rhs, NumArray):
+        buf[mask.bits] = float(rhs)
+    else:
+        k = mask.count()
+        if rhs.numel != k:
+            raise ShapeError(f"rhs has {rhs.numel} elements for {k} masked cells")
+        buf[mask.bits] = rhs.buf
+    return NumArray(a.dims, buf)
+
+
+def _former_delete_by_mask(a, where):
+    if where.numel != a.numel:
+        raise ShapeError(f"mask numel {where.numel} != array numel {a.numel}")
+    kept = a.buf[~where.bits]
+    if a.rank == 2 and a.cols == 1 and a.rows > 1:
+        return NumArray((kept.size, 1), kept)
+    return NumArray((1, kept.size), kept)
+
+
+_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+    st.floats(width=64),
+)
+
+
+@st.composite
+def _masked_arrays(draw):
+    """An array (empty, 1xn, nx1, matrix or 3-D) and a mask with one bit per element."""
+    dims = draw(st.one_of(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        st.tuples(st.just(1), st.integers(0, 6)),
+        st.tuples(st.integers(0, 6), st.just(1)),
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(2, 3)),
+    ))
+    n = math.prod(dims)
+    a = NumArray(dims, draw(st.lists(_VALUES, min_size=n, max_size=n)))
+    bits = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return a, BoolMask(draw(st.sampled_from([dims, (n, 1), (1, n)])), bits)
+
+
+def _assert_same_bits(got, want):
+    assert got.dims == want.dims
+    assert got.buf.tobytes() == want.buf.tobytes()
+
+
+@settings(max_examples=300)
+@given(_masked_arrays(), st.data())
+def test_mask_selector_matches_the_former_mask_bodies(am, data):
+    a, mask = am
+    want = _former_logical_extract(a, mask)
+    for got in (extract(a, IndexExpr.linear(mask)), a[mask], logical_extract(a, mask)):
+        _assert_same_bits(got, want)
+    scalar = data.draw(_VALUES)
+    _assert_same_bits(logical_assign(a, mask, scalar), _former_logical_assign(a, mask, scalar))
+    k = mask.count()
+    rhs = NumArray(data.draw(st.sampled_from([(1, k), (k, 1)])), data.draw(
+        st.lists(_VALUES, min_size=k, max_size=k)))
+    want = _former_logical_assign(a, mask, rhs)
+    _assert_same_bits(logical_assign(a, mask, rhs), want)
+    _assert_same_bits(assign_indexed(a, IndexExpr.linear(mask), rhs), want)
+    want = _former_delete_by_mask(a, mask)
+    _assert_same_bits(delete_elements(a, mask), want)
+    _assert_same_bits(delete_elements(a, IndexExpr.linear(mask)), want)
 
 
 # --- any / all / isnan ---

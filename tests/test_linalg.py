@@ -59,6 +59,32 @@ def test_matmul_shape_error():
         matmul(zeros((2, 3)), zeros((2, 3)))
 
 
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64).tolist()
+
+
+def test_matmul_keeps_the_sign_of_a_zero_sum_as_dot_does():
+    # matmul folded from +0.0, and 0.0 + -0.0 is +0.0, so it disagreed with dot
+    for a, b in (([[-1.0]], [[0.0]]), ([[-0.0, -0.0]], [[1.0], [2.0]]), ([[1.0, -1.0]], [[0.0], [0.0]])):
+        a, b = from_rows(a), from_rows(b)
+        assert _bits(matmul(a, b).buf) == _bits([dot(a, b.T)])
+    assert _bits(matmul(from_rows([[-1.0]]), from_rows([[0.0]])).buf) == _bits([-0.0])
+    # an empty inner dimension still sums to +0.0
+    assert _bits(matmul(zeros((2, 0)), zeros((0, 3))).buf) == _bits(np.zeros(6))
+
+
+def test_products_give_ieee_results_without_warnings():
+    # these raised under the suite's error::RuntimeWarning filter
+    inf = math.inf
+    row, col = from_rows([[inf, -inf]]), from_rows([[1.0], [1.0]])
+    assert math.isnan(dot(row, col))
+    assert_exact(matmul(row, col), [[math.nan]])
+    big = from_rows([[1e308, 1e308]])
+    assert dot(big, col) == inf
+    assert dot(from_rows([[1e200]]), from_rows([[1e200]])) == inf
+    assert_exact(matmul(big, col), [[inf]])
+
+
 # --- dot ---
 
 def test_dot_reference_value():
@@ -190,6 +216,15 @@ def test_eig_rejects_non_finite():
         eig_sym(from_rows([[1, 0], [0, math.nan]]))
 
 
+def test_eig_rejects_an_overflowing_norm():
+    # the norm overflowed to inf, so every threshold was inf and eig_sym
+    # returned the diagonal [1e308, 1e308] with identity vectors after 0 sweeps
+    with pytest.raises(ArgumentError, match="infinity norm"):
+        eig_sym(from_rows([[1e308, 1e308], [1e308, 1e308]]))
+    with pytest.raises(ArgumentError, match="not symmetric"):
+        eig_sym(from_rows([[0, 1e308], [-1e308, 0]]))
+
+
 @pytest.mark.parametrize("d", [2, 3, 7, 8, 40])
 def test_round_robin_schedule_covers_each_pair_once(d):
     rounds = _round_robin(d)
@@ -272,6 +307,12 @@ def test_dctmtx_dc_row_and_domain():
     assert np.allclose(t.view()[0, :], 1 / math.sqrt(5), atol=0, rtol=0)
     with pytest.raises(ArgumentError):
         dctmtx(0)
+
+
+def test_dctmtx_refuses_orders_it_cannot_allocate():
+    # a raw numpy ValueError leaked; numpy refuses 2**70 before allocating
+    with pytest.raises(ArgumentError, match="too large"):
+        dctmtx(2**70)
 
 
 def test_dct_round_trip_via_basis():
