@@ -26,7 +26,7 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from .core import NumArray, _integral, ind2sub, normalize_dims, numel_of
+from .core import NumArray, _allocated, _integral, _positive, ind2sub, normalize_dims, numel_of
 from .errors import ArgumentError, VerificationError
 from .idioms import (
     boustrophedon_scan,
@@ -50,14 +50,17 @@ class Prng:
     """Counter-mode splitmix64 stream; one seed, one reproducible sequence."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        self.seed = _integral(seed, "Prng seed")
         self._counter = 0
 
     def _raw(self, n: int) -> np.ndarray:
+        # np.full refuses every count it cannot allocate; np.arange returns an
+        # empty array for counts near 2**63
+        z = _allocated(f"a draw of {n} numbers", np.full, n, self.seed % 2**64, np.uint64)
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
         with np.errstate(over="ignore"):
-            z = np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF) + idx * _GAMMA
+            z += idx * _GAMMA
             z ^= z >> np.uint64(30)
             z *= _MIX1
             z ^= z >> np.uint64(27)
@@ -128,8 +131,7 @@ def time_it(f: Callable[[], NumArray], reps: int):
 
     Returns (total_seconds, checksum-of-last-result).
     """
-    if reps < 1:
-        raise ArgumentError(f"reps must be >= 1, got {reps}")
+    reps = _positive(reps, "reps")
     result = f()  # warmup
     t0 = time.perf_counter()
     for _ in range(reps):

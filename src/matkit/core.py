@@ -48,14 +48,20 @@ def normalize_dims(dims) -> tuple:
     trimmed, so (3, 4, 1) and (3, 4) are the same shape while (1, 1, 3)
     keeps its rank.
     """
+    out = _extents(dims)
+    if len(out) < 2:
+        raise ShapeError(f"rank must be at least 2, got dims {out!r}")
+    return _trim(out)
+
+
+def _extents(dims) -> tuple:
+    """The one extent rule: each extent a non-negative int (_is_int), as ints."""
     out = []
     for d in dims:
-        if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 0:
+        if not _is_int(d) or d < 0:
             raise ShapeError(f"dimension extents must be non-negative integers, got {d!r}")
         out.append(int(d))
-    if len(out) < 2:
-        raise ShapeError(f"rank must be at least 2, got dims {tuple(dims)!r}")
-    return _trim(tuple(out))
+    return tuple(out)
 
 
 def _trim(shape: tuple) -> tuple:
@@ -89,31 +95,85 @@ def _check_rank2(a, who: str):
         raise ShapeError(f"{who} needs a rank-2 array, got {a.dims}")
 
 
+def _check_vector(a, who: str):
+    """The one vector guard: a must be 1 x n or n x 1."""
+    if len(a.dims) != 2 or 1 not in a.dims:
+        raise ShapeError(f"{who} needs a vector, got {a.dims}")
+
+
+def _check_square(a, who: str):
+    """The one square guard: a must be an n x n matrix."""
+    if len(a.dims) != 2 or a.dims[0] != a.dims[1]:
+        raise ShapeError(f"{who} needs a square matrix, got {a.dims}")
+
+
 def _check_dim(dim, who: str, allowed=(1, 2)):
     """The one dim guard: dim must be an integer among the allowed dimensions."""
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim not in allowed:
+    if not _is_int(dim) or dim not in allowed:
         raise ArgumentError(f"{who} dim must be one of {allowed}, got {dim!r}")
 
 
+def _is_int(x) -> bool:
+    """The one integer test: a Python or numpy int, never a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+# The smallest int that float() rounds past the largest double.
+_INT_PAST_DOUBLE = 2**1024 - 2**970
+
+
+def _is_number(x) -> bool:
+    """The one number test: an _is_int or a Python or numpy float, never a
+    bool, that a double can hold."""
+    if isinstance(x, (float, np.floating)):
+        return True
+    return _is_int(x) and -_INT_PAST_DOUBLE < x < _INT_PAST_DOUBLE
+
+
 def _number(x, what: str):
-    """The one scalar type rule: x itself if it is an int or float (Python or
-    numpy) that a double can hold; a bool, string, None, list or array is
-    refused, and so is an int beyond the largest double."""
-    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+    """The one scalar type rule: x itself if _is_number(x); a bool, string,
+    None, list or array is refused, and so is an int beyond the largest
+    double."""
+    if not _is_number(x):
+        if _is_int(x):
+            raise ArgumentError(f"{what} is an int beyond the largest double")
         raise ArgumentError(f"{what} must be a number, got {type(x).__name__}")
-    try:
-        float(x)
-    except OverflowError:
-        raise ArgumentError(f"{what} is an int beyond the largest double") from None
     return x
 
 
 def _integral(k, what: str) -> int:
-    """A subscript, count or shift as an int: a _number that is not a
+    """A subscript, count, order or seed as an int: a _number that is not a
     fractional, NaN or inf float."""
-    if isinstance(_number(k, what), (float, np.floating)) and not float(k).is_integer():
+    if not (_is_int(_number(k, what)) or float(k).is_integer()):
         raise ArgumentError(f"{what} {k!r} is not an integer")
     return int(k)
+
+
+def _positive(k, what: str) -> int:
+    """A count, order or extent as an int: an _integral that is at least 1."""
+    k = _integral(k, what)
+    if k < 1:
+        raise ArgumentError(f"{what} must be positive, got {k}")
+    return k
+
+
+def _choice(name, names, what: str):
+    """The one name rule: name must be a str among names (so an unhashable
+    name is refused too, not a raw TypeError)."""
+    if not isinstance(name, str) or name not in names:
+        raise ArgumentError(f"unknown {what} {name!r}, expected one of {tuple(names)}")
+    return name
+
+
+def _allocated(what: str, make, *args, **kwargs):
+    """make(*args, **kwargs), the one allocation refusal: numpy's refusal of a
+    size (ValueError, or OverflowError for a count beyond a C long) or the
+    allocator's (MemoryError) becomes an ArgumentError naming what was being
+    built."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, MemoryError, OverflowError):
+        raise ArgumentError(f"{what} is too large to allocate") from None
 
 
 def numel_of(dims) -> int:
@@ -184,12 +244,8 @@ class NumArray:
 
     def at(self, *subs) -> float:
         """Scalar element access, 1-based: at(k) linear or at(i, j, ...)."""
-        if len(subs) == 1:
-            k = _integral(subs[0], "linear index")
-            if not 1 <= k <= self.numel:
-                raise IndexBoundsError(f"linear index {k} out of range 1..{self.numel}")
-            return float(self.buf[k - 1])
-        return float(self.buf[sub2ind(self.dims, subs) - 1])
+        dims = (self.numel,) if len(subs) == 1 else self.dims  # linear: one subscript
+        return float(self.buf[sub2ind(dims, subs) - 1])
 
     def item(self) -> float:
         if self.numel != 1:
@@ -272,13 +328,13 @@ class NumArray:
 
     def __eq__(self, other):
         from . import ops
-        if not isinstance(other, (NumArray, int, float, np.floating, np.integer)):
+        if not (isinstance(other, NumArray) or _is_number(other)):
             return NotImplemented
         return ops.compare("==", self, other)
 
     def __ne__(self, other):
         from . import ops
-        if not isinstance(other, (NumArray, int, float, np.floating, np.integer)):
+        if not (isinstance(other, NumArray) or _is_number(other)):
             return NotImplemented
         return ops.compare("!=", self, other)
 
@@ -360,7 +416,8 @@ def ones(dims) -> NumArray:
 
 def full(dims, value) -> NumArray:
     dims = normalize_dims(dims)
-    return NumArray(dims, np.full(numel_of(dims), float(_number(value, "fill value"))))
+    value = float(_number(value, "fill value"))
+    return NumArray(dims, _allocated(f"a {dims} array", np.full, numel_of(dims), value))
 
 
 def from_rows(rows) -> NumArray:
@@ -398,21 +455,9 @@ def colon_range(start, step, stop) -> NumArray:
         n = 0
     else:
         n = int(math.floor(q + 4 * EPS * max(1.0, abs(q)))) + 1
-    try:
-        ramp = np.arange(n, dtype=np.float64)
-    except (ValueError, MemoryError):  # beyond numpy's size limit, or refused outright
-        raise ArgumentError(
-            f"range {start}:{step}:{stop} has {q:.3g} elements, too many to allocate"
-        ) from None
+    what = f"range {start}:{step}:{stop} ({q:.3g} elements, too many)"
+    ramp = _allocated(what, np.arange, n, dtype=np.float64)
     return NumArray((1, n), start + step * ramp)
-
-
-def _square_grid(n: int, what: str):
-    """The (row, column) 0-based index grids of an n x n matrix, as np.mgrid."""
-    try:
-        return np.mgrid[0:n, 0:n]
-    except (ValueError, MemoryError):  # beyond numpy's size limit, or refused outright
-        raise ArgumentError(f"{what} {n} is too large to allocate") from None
 
 
 def magic(n: int) -> NumArray:
@@ -422,11 +467,10 @@ def magic(n: int) -> NumArray:
     anti-diagonal cells of each aligned 4x4 sub-block. Every row, column,
     and main diagonal then sums to n(n^2+1)/2.
     """
-    if not isinstance(n, (int, np.integer)) or n <= 0:
-        raise ArgumentError(f"magic order must be a positive integer, got {n!r}")
+    n = _positive(n, "magic order")
     if n % 4 != 0:
         raise ArgumentError(f"unsupported magic order {n}: only doubly-even (n % 4 == 0)")
-    i, j = _square_grid(n, "magic order")
+    i, j = _allocated(f"magic order {n}", np.indices, (n, n))
     m = (i * n + j + 1).astype(np.float64)
     flip = (i % 4 == j % 4) | ((i % 4) + (j % 4) == 3)
     m[flip] = n * n + 1 - m[flip]
@@ -477,7 +521,7 @@ def flipud(a: NumArray) -> NumArray:
 
 def sub2ind(dims, subs) -> int:
     """Column-major 1-based subscripts -> linear index."""
-    dims = tuple(dims)
+    dims = _extents(dims)
     if len(subs) != len(dims):
         raise ArgumentError(f"expected {len(dims)} subscripts for shape {dims}, got {len(subs)}")
     k = 0
@@ -493,7 +537,7 @@ def sub2ind(dims, subs) -> int:
 
 def ind2sub(dims, k: int) -> tuple:
     """Column-major 1-based linear index -> subscripts."""
-    dims = tuple(dims)
+    dims = _extents(dims)
     k = _integral(k, "linear index")
     if not 1 <= k <= numel_of(dims):
         raise IndexBoundsError(f"linear index {k} out of range 1..{numel_of(dims)}")
@@ -525,23 +569,19 @@ def cat(dim: int, arrays) -> NumArray:
 
 def repmat(a: NumArray, reps_rows: int, reps_cols: int) -> NumArray:
     """Tile the whole array reps_rows x reps_cols times."""
-    reps_rows, reps_cols = (_integral(r, "repmat count") for r in (reps_rows, reps_cols))
-    if reps_rows <= 0 or reps_cols <= 0:
-        raise ArgumentError("repmat counts must be positive")
+    reps_rows, reps_cols = (_positive(r, "repmat count") for r in (reps_rows, reps_cols))
     _check_rank2(a, "repmat")
-    return wrap_ndarray(np.tile(a.view(), (reps_rows, reps_cols)))
+    what = f"repmat of {a.dims} by {reps_rows}x{reps_cols}"
+    return wrap_ndarray(_allocated(what, np.tile, a.view(), (reps_rows, reps_cols)))
 
 
 def repelems(a: NumArray, counts) -> NumArray:
     """Repeat each element of a vector in sequence: ([5 7], [2 3]) -> [5 5 7 7 7]."""
-    if not (a.rank == 2 and (a.rows == 1 or a.cols == 1)):
-        raise ShapeError(f"repelems needs a vector, got {a.dims}")
-    counts = [_integral(c, "repelems count") for c in counts]
+    _check_vector(a, "repelems")
+    counts = [_positive(c, "repelems count") for c in counts]
     if len(counts) != a.numel:
         raise ArgumentError(f"need one count per element: {a.numel} elements, {len(counts)} counts")
-    if any(c <= 0 for c in counts):
-        raise ArgumentError("repelems counts must be positive")
-    out = np.repeat(a.buf, counts)
+    out = _allocated(f"repelems to {sum(counts)} elements", np.repeat, a.buf, counts)
     return NumArray((1, out.size), out)
 
 
@@ -560,8 +600,7 @@ def sort_along_dim(a: NumArray, dim: int, direction: str = "asc"):
     already-sorted input give the identity permutation.
     """
     _check_dim(dim, "sort")
-    if direction not in ("asc", "desc"):
-        raise ArgumentError(f"direction must be 'asc' or 'desc', got {direction!r}")
+    _choice(direction, ("asc", "desc"), "sort direction")
     _check_rank2(a, "sort")
     v = a.view()
     key = -v if direction == "desc" else v

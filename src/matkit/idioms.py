@@ -17,8 +17,8 @@ import math
 from typing import Callable, Tuple
 
 from .core import (
-    NumArray, _check_rank2, _integral, cat, colon_range, flipud, from_rows, permute, reshape,
-    wrap_ndarray, zeros,
+    NumArray, _allocated, _check_rank2, _check_square, _choice, _positive, cat, colon_range, flipud,
+    from_rows, permute, reshape, wrap_ndarray, zeros,
 )
 from .errors import ArgumentError, ContractError, ShapeError
 from .indexing import ALL, END, IndexExpr, assign_indexed, delete_elements, extract, isnan_mask, span
@@ -32,16 +32,11 @@ MetricFn = Callable[[NumArray, NumArray], NumArray]
 _VARIANTS = ("loop", "vectorized")
 
 
-def _check_variant(variant: str):
-    if variant not in _VARIANTS:
-        raise ArgumentError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-
-
 # -- matrix scans -----------------------------------------------------------
 
 def linear_scan(m: NumArray, variant: str = "vectorized") -> NumArray:
     """Read the elements column by column, top to bottom."""
-    _check_variant(variant)
+    _choice(variant, _VARIANTS, "variant")
     _check_rank2(m, "linear_scan")
     if variant == "loop":
         rows, cols = m.dims
@@ -56,7 +51,7 @@ def linear_scan(m: NumArray, variant: str = "vectorized") -> NumArray:
 
 def boustrophedon_scan(m: NumArray, variant: str = "vectorized") -> NumArray:
     """Read columns alternately top-down and bottom-up, like the ox plows."""
-    _check_variant(variant)
+    _choice(variant, _VARIANTS, "variant")
     _check_rank2(m, "boustrophedon_scan")
     rows, cols = m.dims
     if variant == "loop":
@@ -82,7 +77,7 @@ def zigzag_scan(m: NumArray, variant: str = "vectorized") -> NumArray:
     coefficient ordering used on transform blocks in JPEG-style pipelines
     (up to the chosen starting corner).
     """
-    _check_variant(variant)
+    _choice(variant, _VARIANTS, "variant")
     _check_rank2(m, "zigzag_scan")
     rows, cols = m.dims
     if variant == "loop":
@@ -234,6 +229,11 @@ def replace_neg_nan(x: NumArray) -> NumArray:
 _LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
 
+def _check_rgb(img: NumArray):
+    if img.rank != 3 or img.dims[2] != 3:
+        raise ShapeError(f"rgb2gray needs an h x w x 3 array, got {img.dims}")
+
+
 def rgb2gray(img: NumArray) -> NumArray:
     """Collapse an h x w x 3 volume to luminance by weighted channel sum.
 
@@ -241,16 +241,14 @@ def rgb2gray(img: NumArray) -> NumArray:
     so one broadcast multiply and one reduction do the whole image; gamma is
     not handled.
     """
-    if img.rank != 3 or img.dims[2] != 3:
-        raise ShapeError(f"rgb2gray needs an h x w x 3 array, got {img.dims}")
+    _check_rgb(img)
     weights = permute(from_rows([list(_LUMA_WEIGHTS)]), (1, 3, 2))
     return reduce_along_dim("sum", img * weights, 3)
 
 
 def rgb2gray_loop(img: NumArray) -> NumArray:
     """Per-pixel scalar form of rgb2gray; the oracle for the broadcast idiom."""
-    if img.rank != 3 or img.dims[2] != 3:
-        raise ShapeError(f"rgb2gray needs an h x w x 3 array, got {img.dims}")
+    _check_rgb(img)
     h, w, _ = img.dims
     wr, wg, wb = _LUMA_WEIGHTS
     buf = img.to_list()
@@ -275,15 +273,12 @@ def blockproc(a: NumArray, block_shape, f: Callable[[NumArray], NumArray]) -> Nu
     output size is the padded size. f must map r x c to r x c.
     """
     _check_rank2(a, "blockproc")
-    r, c = _integral(block_shape[0], "block extent"), _integral(block_shape[1], "block extent")
-    if r < 1 or c < 1:
-        raise ArgumentError(f"block shape must be positive, got {(r, c)}")
+    r, c = _positive(block_shape[0], "block extent"), _positive(block_shape[1], "block extent")
     m, n = a.dims
     mm = ((m + r - 1) // r) * r
     nn = ((n + c - 1) // c) * c
-    padded = np.zeros((mm, nn))
+    padded, out = _allocated(f"blockproc padding of {a.dims} to {mm}x{nn}", np.zeros, (2, mm, nn))
     padded[:m, :n] = a.view()
-    out = np.zeros((mm, nn))
     for bi in range(mm // r):
         for bj in range(nn // c):
             tile = wrap_ndarray(padded[bi * r:(bi + 1) * r, bj * c:(bj + 1) * c])
@@ -297,9 +292,7 @@ def blockproc(a: NumArray, block_shape, f: Callable[[NumArray], NumArray]) -> Nu
 
 def _dct_sandwich(x: NumArray, t, who: str, inverse: bool) -> NumArray:
     """T X T' (forward) or T' X T (inverse) for a square block x."""
-    _check_rank2(x, who)
-    if x.rows != x.cols:
-        raise ShapeError(f"{who} needs a square block, got {x.dims}")
+    _check_square(x, who)
     if t is None:
         t = dctmtx(x.rows)
     elif t.dims != x.dims:

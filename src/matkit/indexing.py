@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BoolMask, NumArray, _integral, _number, normalize_dims, wrap_ndarray
+from .core import (
+    BoolMask, NumArray, _allocated, _integral, _is_int, _number, normalize_dims,
+    wrap_ndarray,
+)
 from .errors import ArgumentError, IndexBoundsError, ShapeError
 
 
@@ -66,11 +69,18 @@ class Span:
         self.step = step
 
     def resolve(self, extent: int) -> list:
+        """The positions in order, up to and including the first outside
+        1..extent: the bounds check names that one, and no list longer than
+        the extent plus one is built."""
         start = self.start.resolve(extent) if isinstance(self.start, End) else int(self.start)
         stop = self.stop.resolve(extent) if isinstance(self.stop, End) else int(self.stop)
         if self.step > 0:
-            return list(range(start, stop + 1, self.step))
-        return list(range(start, stop - 1, self.step))
+            whole = range(start, stop + 1, self.step)
+            inside = range(start, min(stop, extent) + 1, self.step)
+        else:
+            whole = range(start, stop - 1, self.step)
+            inside = range(start, max(stop, 1) - 1, self.step)
+        return list(whole[: (len(inside) if 1 <= start <= extent else 0) + 1])
 
     def __repr__(self):
         return f"span({self.start!r}, {self.stop!r}, {self.step})"
@@ -97,7 +107,7 @@ def _resolve_selector(sel, extent: int, what: str) -> np.ndarray:
         idx = sel.resolve(extent)
     elif isinstance(sel, End):
         idx = [sel.resolve(extent)]
-    elif isinstance(sel, (int, np.integer)) and not isinstance(sel, bool):
+    elif _is_int(sel):
         idx = [sel]
     elif isinstance(sel, (list, tuple)):
         idx = [s.resolve(extent) if isinstance(s, End) else s for s in sel]
@@ -152,7 +162,7 @@ class IndexExpr:
             dims = (pos.size, 1)  # A(:) and A(mask) are always columns
         elif isinstance(sel, NumArray):
             dims = sel.dims
-        elif isinstance(sel, (int, np.integer, End)):
+        elif _is_int(sel) or isinstance(sel, End):
             dims = (1, 1)
         else:
             dims = (1, pos.size)
@@ -188,13 +198,10 @@ def _vector_dims(a: NumArray, n: int) -> tuple:
 
 def _is_scalar_rhs(rhs) -> bool:
     """True for a scalar rhs, False for a NumArray; anything else is refused."""
-    if isinstance(rhs, (int, float, np.floating, np.integer)):
-        return True
-    if not isinstance(rhs, NumArray):
-        raise ArgumentError(
-            f"assignment rhs must be a NumArray or a scalar, got {type(rhs).__name__}"
-        )
-    return False
+    if isinstance(rhs, NumArray):
+        return False
+    _number(rhs, "assignment rhs must be a NumArray or a scalar, and a scalar")
+    return True
 
 
 def assign_indexed(a: NumArray, ix: IndexExpr, rhs) -> NumArray:
@@ -209,16 +216,9 @@ def assign_indexed(a: NumArray, ix: IndexExpr, rhs) -> NumArray:
     scalar_rhs = _is_scalar_rhs(rhs)
     if ix.is_linear:
         sel = ix.linear_sel
-        if (
-            scalar_rhs
-            and isinstance(sel, (int, np.integer))
-            and not isinstance(sel, bool)
-            and a.rank == 2
-            and min(a.dims) <= 1
-            and int(sel) > a.numel
-        ):
+        if scalar_rhs and _is_int(sel) and a.rank == 2 and min(a.dims) <= 1 and sel > a.numel:
             k = int(sel)
-            grown = np.zeros(k)
+            grown = _allocated(f"a vector grown to {k} elements", np.zeros, k)
             grown[: a.numel] = a.buf
             grown[k - 1] = float(rhs)
             return NumArray(_vector_dims(a, k), grown)

@@ -16,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumArray, _check_rank2, _square_grid, wrap_ndarray
+from .core import (
+    NumArray, _allocated, _check_rank2, _check_square, _check_vector, _integral, _positive,
+    wrap_ndarray,
+)
 from .errors import ArgumentError, ConvergenceError, ShapeError, SingularMatrixError
 from .ops import _ascending
 
@@ -41,10 +44,8 @@ def matmul(a: NumArray, b: NumArray) -> NumArray:
 
 def dot(a: NumArray, b: NumArray) -> float:
     """Inner product of two equal-length vectors, summed in ascending order."""
-    if not (a.rank == 2 and (a.rows == 1 or a.cols == 1)):
-        raise ShapeError(f"dot needs vectors, got {a.dims}")
-    if not (b.rank == 2 and (b.rows == 1 or b.cols == 1)):
-        raise ShapeError(f"dot needs vectors, got {b.dims}")
+    _check_vector(a, "dot")
+    _check_vector(b, "dot")
     if a.numel != b.numel:
         raise ShapeError(f"dot length mismatch: {a.numel} vs {b.numel}")
     if a.numel == 0:
@@ -55,8 +56,7 @@ def dot(a: NumArray, b: NumArray) -> float:
 
 def mldivide(a: NumArray, b: NumArray) -> NumArray:
     """Solve the square system Ax = b by LU with partial pivoting."""
-    if a.rank != 2 or a.rows != a.cols:
-        raise ShapeError(f"mldivide needs a square matrix, got {a.dims}")
+    _check_square(a, "mldivide")
     n = a.rows
     if not (b.rank == 2 and b.rows == n and b.cols == 1):
         raise ShapeError(f"mldivide rhs must be {n}x1, got {b.dims}")
@@ -130,9 +130,14 @@ def eig_sym(s: NumArray, max_sweeps: int = 100) -> EigResult:
     until every off-diagonal magnitude falls below 1e-12 times the input's
     infinity norm (capped at max_sweeps). Values come back ascending; each
     vector is sign-normalized so its largest-magnitude component is positive.
+
+    The sweeps run on the input scaled by the power of two 2**-e that brings
+    its norm into [0.5, 1), so no difference or square in a rotation can
+    overflow; scaling by a power of two is exact, so every rotation is bit for
+    bit the unscaled one, and values and off_norm are scaled back by 2**e.
     """
-    if s.rank != 2 or s.rows != s.cols:
-        raise ShapeError(f"eig_sym needs a square matrix, got {s.dims}")
+    _check_square(s, "eig_sym")
+    max_sweeps = _integral(max_sweeps, "eig_sym max_sweeps")
     d = s.rows
     a = s.view()
     if not np.isfinite(a).all():
@@ -143,17 +148,18 @@ def eig_sym(s: NumArray, max_sweeps: int = 100) -> EigResult:
             raise ArgumentError("eig_sym input's infinity norm overflows")
         if _inf_norm(a - a.T) > 1e-9 * norm:
             raise ArgumentError("eig_sym input is not symmetric")
+    e = math.frexp(norm)[1]
     # m on top of v: one column rotation of w turns the columns of both.
-    w = np.vstack((a, np.eye(d)))
+    w = np.vstack((np.ldexp(a, -e), np.eye(d)))
     m, v = w[:d], w[d:]
-    thresh = 1e-12 * norm
+    thresh = math.ldexp(1e-12 * norm, -e)
     rounds = _round_robin(d)
     sweeps = 0
     off = _off_diag_max(m)
     while off > thresh:
         if sweeps >= max_sweeps:
             raise ConvergenceError(
-                f"Jacobi sweeps exceeded {max_sweeps} (off-diagonal {off:.3e})"
+                f"Jacobi sweeps exceeded {max_sweeps} (off-diagonal {math.ldexp(off, e):.3e})"
             )
         for p, q in rounds:
             apq = m[p, q]
@@ -174,7 +180,7 @@ def eig_sym(s: NumArray, max_sweeps: int = 100) -> EigResult:
             m[pq, qp] = 0.0
         sweeps += 1
         off = _off_diag_max(m)
-    vals = np.diag(m).copy()
+    vals = np.ldexp(np.diag(m), e)
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
     v = v[:, order]
@@ -186,7 +192,7 @@ def eig_sym(s: NumArray, max_sweeps: int = 100) -> EigResult:
         vectors=wrap_ndarray(v),
         values=NumArray((d, 1), vals),
         sweeps=sweeps,
-        off_norm=off,
+        off_norm=math.ldexp(off, e),
     )
 
 
@@ -196,9 +202,8 @@ def dctmtx(n: int) -> NumArray:
     Row 1 is the constant 1/sqrt(n); row i >= 2, column j holds
     sqrt(2/n) * cos(pi * (2j - 1) * (i - 1) / (2n)) with 1-based indices.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ArgumentError(f"dctmtx order must be a positive integer, got {n!r}")
-    i, j = _square_grid(n, "dctmtx order")
+    n = _positive(n, "dctmtx order")
+    i, j = _allocated(f"dctmtx order {n}", np.indices, (n, n))
     t = math.sqrt(2.0 / n) * np.cos(np.pi * (2 * j + 1) * i / (2.0 * n))
     t[0, :] = 1.0 / math.sqrt(n)
     return wrap_ndarray(t)

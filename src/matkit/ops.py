@@ -23,16 +23,18 @@ from typing import Callable
 
 import numpy as np
 
-from .core import BoolMask, NumArray, _check_dim, _check_rank2, broadcast_shapes, wrap_ndarray
+from .core import (
+    BoolMask, NumArray, _check_dim, _check_rank2, _choice, _number, broadcast_shapes,
+    wrap_ndarray,
+)
 from .errors import ArgumentError
 
 
 def _coerce(x) -> NumArray:
+    """An operand as a NumArray: a scalar operand must be a _number."""
     if isinstance(x, NumArray):
         return x
-    if isinstance(x, (int, float, np.floating, np.integer)):
-        return NumArray((1, 1), [float(x)])
-    raise ArgumentError(f"expected a NumArray or scalar, got {type(x).__name__}")
+    return NumArray((1, 1), [float(_number(x, "scalar operand"))])
 
 
 def _broadcast_apply(fn, *operands):
@@ -79,26 +81,23 @@ _UNARY = {
 
 def ew_binary(op: str, a, b) -> NumArray:
     """Elementwise +, -, *, /, ^ with broadcasting and IEEE-754 semantics."""
-    if not isinstance(op, str) or op not in _BINARY:
-        raise ArgumentError(f"unknown elementwise operator {op!r}")
+    fn = _BINARY[_choice(op, _BINARY, "elementwise operator")]
     with np.errstate(all="ignore"):
-        return _broadcast_apply(_BINARY[op], _coerce(a), _coerce(b))
+        return _broadcast_apply(fn, _coerce(a), _coerce(b))
 
 
 def compare(op: str, a, b) -> BoolMask:
     """Elementwise comparison; any comparison with NaN is false except !=."""
-    if not isinstance(op, str) or op not in _COMPARE:
-        raise ArgumentError(f"unknown comparison {op!r}")
+    fn = _COMPARE[_choice(op, _COMPARE, "comparison")]
     with np.errstate(invalid="ignore"):
-        return _broadcast_apply(_COMPARE[op], _coerce(a), _coerce(b))
+        return _broadcast_apply(fn, _coerce(a), _coerce(b))
 
 
 def ew_unary(op: str, a: NumArray) -> NumArray:
     """Elementwise abs/sqrt/neg/cos/sin; sqrt of a negative is NaN."""
-    if not isinstance(op, str) or op not in _UNARY:
-        raise ArgumentError(f"unknown unary operator {op!r}")
+    fn = _UNARY[_choice(op, _UNARY, "unary operator")]
     with np.errstate(all="ignore"):
-        out = _UNARY[op](a.buf)
+        out = fn(a.buf)
     return NumArray(a.dims, out)
 
 
@@ -140,8 +139,7 @@ def reduce_along_dim(kind: str, a: NumArray, dim: int) -> NumArray:
     past the rank is the identity, since the implicit trailing dimension is a
     singleton.
     """
-    if kind not in ("sum", "prod", "mean"):
-        raise ArgumentError(f"unknown reduction {kind!r}")
+    _choice(kind, ("sum", "prod", "mean"), "reduction")
     _check_dim(dim, "reduction", allowed=(1, 2, 3))
     if dim > a.rank:
         return NumArray(a.dims, a.buf.copy())
@@ -171,8 +169,7 @@ def extremum(kind: str, a: NumArray, dim: int):
     NaN entries are skipped; a slice of only NaN reports value NaN and
     index 1. Ties resolve to the lowest index.
     """
-    if kind not in ("min", "max"):
-        raise ArgumentError(f"extremum kind must be 'min' or 'max', got {kind!r}")
+    _choice(kind, ("min", "max"), "extremum kind")
     _check_dim(dim, "extremum")
     _check_rank2(a, "extremum")
     ax = dim - 1
@@ -211,6 +208,7 @@ def mask_not(a: BoolMask) -> BoolMask:
 def apply_broadcast(f: Callable[[float, float], float], a, b) -> NumArray:
     """Lift a pure scalar binary function to arrays under broadcasting."""
     lifted = np.frompyfunc(lambda x, y: float(f(float(x), float(y))), 2, 1)
-    return _broadcast_apply(
-        lambda va, vb: lifted(va, vb).astype(np.float64), _coerce(a), _coerce(b)
-    )
+    with np.errstate(all="ignore"):  # f's own IEEE results (inf - inf is NaN) are not errors
+        return _broadcast_apply(
+            lambda va, vb: lifted(va, vb).astype(np.float64), _coerce(a), _coerce(b)
+        )

@@ -81,6 +81,34 @@ def test_randint_bounds_must_be_integers():
     assert np.array_equal(r.buf, Prng(1).randint(1, 3, (1, 100)).buf)
 
 
+def test_seeds_and_reps_must_be_integers():
+    # Prng(1.5) seeded 1 and Prng("42") seeded 42; Prng(None) and a
+    # fractional or string reps leaked raw TypeErrors
+    f = lambda: from_rows([[1]])  # noqa: E731
+    for call, match in ((lambda: Prng(1.5), "not an integer"),
+                        (lambda: Prng("42"), "must be a number"),
+                        (lambda: Prng(None), "must be a number"),
+                        (lambda: Prng(True), "must be a number"),
+                        (lambda: time_it(f, 1.5), "not an integer"),
+                        (lambda: time_it(f, "3"), "must be a number")):
+        with pytest.raises(ArgumentError, match=match):
+            call()
+    assert np.array_equal(Prng(7.0).uniform((1, 4)).buf, Prng(7).uniform((1, 4)).buf)
+    assert time_it(f, 2.0)[1] == 1.0
+
+
+def test_draws_refuse_counts_they_cannot_allocate():
+    # numpy's refusal leaked as a raw ValueError, and np.arange returns an
+    # empty array (no error) for a count of 2**63, normal's pair count here
+    rng = Prng(1)
+    for call in (lambda: rng.uniform((2**62, 4)), lambda: rng.normal((2**62, 4)),
+                 lambda: rng.randint(1, 3, (2**62, 4)), lambda: rng.uniform((2**62, 2))):
+        with pytest.raises(ArgumentError, match="too large to allocate"):
+            call()
+    # a refused draw consumes no stream
+    assert np.array_equal(rng.uniform((1, 4)).buf, Prng(1).uniform((1, 4)).buf)
+
+
 def test_randint_empty_shape_draws_nothing():
     # np.concatenate of no accepted batches used to raise a raw ValueError
     rng = Prng(6)

@@ -1,0 +1,129 @@
+"""The argument contract: every well-typed call returns or raises MatkitError.
+
+One table row per exported callable that takes a count, size or dims tuple,
+an order, seed or subscript, a selector, reps or max_sweeps, or a scalar
+operand. Each row draws those arguments from VALUES (and dims tuples of
+them), and its arrays from arrays(): empty, 1xn, nx1 or 3-D, holding NaN
+and inf. Function handles are always well behaved. Wrong-class arguments (a list
+where a NumArray belongs, a BoolMask as an operand, a handle that cannot be
+called) are outside the contract, as the README says, and are not drawn.
+
+The one large value is at least 2**62: any size built from it is at least
+2**62 elements of 8 bytes, which numpy refuses before it allocates anything.
+No value in between (such as 2**30) is drawn, since the host might grant it.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import matkit as mk
+from matkit import ALL, END, IndexExpr, MatkitError
+
+VALUES = (0, 1, 3, -3, 1.5, math.nan, math.inf, -math.inf, True, "2", None, 2**62, 10**400)
+
+value = st.sampled_from(VALUES)
+dims = st.one_of(st.tuples(value, value), st.tuples(value, value, value))
+
+_SHAPES = ((0, 0), (0, 3), (3, 0), (1, 1), (1, 3), (3, 1), (2, 1, 3), (2, 2, 3))
+_ENTRIES = st.one_of(
+    st.floats(-1e3, 1e3), st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])
+)
+
+
+@st.composite
+def arrays(draw):
+    shape = draw(st.sampled_from(_SHAPES))
+    n = math.prod(shape)
+    return mk.NumArray(shape, draw(st.lists(_ENTRIES, min_size=n, max_size=n)))
+
+
+def _add(x, y):
+    return x + y  # float addition never raises: inf - inf is NaN
+
+
+def _ones():
+    return mk.ones((1, 1))
+
+
+def _repelems(d):
+    a = d(arrays())
+    return mk.repelems(a, [d(value) for _ in range(a.numel)])
+
+
+def _eig_sym(d):
+    s = d(st.one_of(arrays(), st.just(mk.from_rows([[2, 1], [1, 2]]))))
+    return mk.eig_sym(s, d(value))
+
+
+def _logical_assign(d):
+    a = d(arrays())
+    return mk.logical_assign(a, a > 0, d(value))
+
+
+def _span(d):
+    end = st.one_of(value, value.map(lambda k: END - k))
+    return mk.extract(d(arrays()), IndexExpr.linear(mk.span(d(end), d(end), d(value))))
+
+
+ROWS = {
+    "zeros": lambda d: mk.zeros(d(dims)),
+    "ones": lambda d: mk.ones(d(dims)),
+    "full": lambda d: mk.full(d(dims), d(value)),
+    "colon_range": lambda d: mk.colon_range(d(value), d(value), d(value)),
+    "magic": lambda d: mk.magic(d(value)),
+    "reshape": lambda d: mk.reshape(d(arrays()), d(dims)),
+    "permute": lambda d: mk.permute(d(arrays()), (d(value), d(value), d(value))),
+    "ipermute": lambda d: mk.ipermute(d(arrays()), (d(value), d(value))),
+    "broadcast_shapes": lambda d: mk.broadcast_shapes(d(dims), d(dims)),
+    "sub2ind": lambda d: mk.sub2ind(d(dims), (d(value), d(value))),
+    "ind2sub": lambda d: mk.ind2sub(d(dims), d(value)),
+    "NumArray.at": lambda d: d(arrays()).at(d(value)),
+    "cat": lambda d: mk.cat(d(value), [d(arrays()), d(arrays())]),
+    "repmat": lambda d: mk.repmat(d(arrays()), d(value), d(value)),
+    "repelems": _repelems,
+    "circshift": lambda d: mk.circshift(d(arrays()), d(value), d(value)),
+    "sort_along_dim": lambda d: mk.sort_along_dim(d(arrays()), d(value)),
+    "diff_adjacent": lambda d: mk.diff_adjacent(d(arrays()), d(value)),
+    "span": _span,
+    "extract": lambda d: mk.extract(d(arrays()), IndexExpr.of(d(value), ALL)),
+    "NumArray.__getitem__": lambda d: d(arrays())[d(value)],
+    "assign_indexed": lambda d: mk.assign_indexed(
+        d(arrays()), IndexExpr.linear(d(value)), d(value)
+    ),
+    "delete_elements": lambda d: mk.delete_elements(d(arrays()), IndexExpr.linear(d(value))),
+    "logical_assign": _logical_assign,
+    "ew_binary": lambda d: mk.ew_binary(d(st.sampled_from("+-*/^")), d(arrays()), d(value)),
+    "compare": lambda d: mk.compare(d(st.sampled_from(["<", "==", "!="])), d(value), d(arrays())),
+    "NumArray.__eq__": lambda d: d(arrays()) == d(value),
+    "merge": lambda d: mk.merge(d(arrays()) > 0, d(value), d(value)),
+    "apply_broadcast": lambda d: mk.apply_broadcast(_add, d(arrays()), d(value)),
+    "reduce_along_dim": lambda d: mk.reduce_along_dim("sum", d(arrays()), d(value)),
+    "cumsum_along_dim": lambda d: mk.cumsum_along_dim(d(arrays()), d(value)),
+    "extremum": lambda d: mk.extremum("min", d(arrays()), d(value)),
+    "dctmtx": lambda d: mk.dctmtx(d(value)),
+    "eig_sym": _eig_sym,
+    "blockproc": lambda d: mk.blockproc(d(arrays()), (d(value), d(value)), lambda t: t),
+    "Prng": lambda d: mk.Prng(d(value)).uniform((1, 2)),
+    "Prng.uniform": lambda d: mk.Prng(1).uniform(d(dims)),
+    "Prng.normal": lambda d: mk.Prng(1).normal(d(dims)),
+    "Prng.randint": lambda d: mk.Prng(1).randint(d(value), d(value), d(dims)),
+    # a well-typed reps of 2**62 is honored, so it is not drawn: it would
+    # not finish
+    "time_it": lambda d: mk.time_it(_ones, d(st.sampled_from([v for v in VALUES if v != 2**62]))),
+    "run_scenario": lambda d: mk.run_scenario(
+        mk.built_in_scenarios(vector_n=d(value))["vector-add"], d(value)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROWS))
+@settings(max_examples=60)
+@given(data=st.data())
+def test_every_call_returns_or_raises_matkit_error(name, data):
+    # the suite turns a RuntimeWarning into an error, so a stray one fails too
+    try:
+        ROWS[name](data.draw)
+    except MatkitError:
+        pass

@@ -23,6 +23,7 @@ from matkit import (
     eps_short,
     flipud,
     from_rows,
+    full,
     ind2sub,
     ipermute,
     magic,
@@ -165,6 +166,22 @@ def test_only_core_knows_the_column_major_layout():
     assert offenders == []
 
 
+def test_only_core_decides_the_argument_rules():
+    # "is this a number?" and "numpy cannot allocate this" are core's
+    # decisions; other modules go through _is_int/_is_number/_number/_integral
+    # and _allocated
+    src = Path(matkit.__file__).parent
+    rule = re.compile(
+        r"isinstance\([^)]*np\.(integer|floating)|except\s*\(\s*ValueError\s*,\s*MemoryError"
+    )
+    offenders = [
+        f"{p.name}:{p.read_text().count(chr(10), 0, m.start()) + 1}"
+        for p in sorted(src.glob("*.py")) if p.name != "core.py"
+        for m in rule.finditer(p.read_text())
+    ]
+    assert offenders == []
+
+
 def test_ragged_literal_rejected():
     with pytest.raises(ShapeError):
         from_rows([[1, 2], [3]])
@@ -257,6 +274,16 @@ def test_magic_rejects_unsupported_orders():
     for n in (3, 5, 6, 10):
         with pytest.raises(ArgumentError):
             magic(n)
+
+
+def test_magic_order_is_an_integer_not_a_bool():
+    # an integral float order was refused, unlike repmat's integral counts
+    assert_exact(magic(4.0), MAGIC4)
+    assert_exact(magic(np.float64(8.0)), magic(8).view())
+    for bad, match in ((True, "must be a number"), (4.5, "not an integer"),
+                       ("4", "must be a number"), (None, "must be a number")):
+        with pytest.raises(ArgumentError, match=match):
+            magic(bad)
 
 
 def test_magic_refuses_orders_it_cannot_allocate():
@@ -461,6 +488,27 @@ def test_counts_and_subscripts_must_be_numbers():
                 call()
     assert_exact(repmat(a, np.int64(1), np.float64(1.0)), a.view())
     assert a.at(np.int32(2)) == 5
+
+
+def test_constructions_refuse_sizes_they_cannot_allocate():
+    # numpy's refusal leaked as a raw ValueError (OverflowError for a count
+    # beyond a C long); every size here is at least 2**62 elements of 8 bytes,
+    # which numpy refuses before it allocates anything
+    m = magic(4)
+    for call in (lambda: zeros((2**62, 4)), lambda: ones((4, 2**62)),
+                 lambda: full((2**62, 2**62), 1.0), lambda: zeros((10**400, 4)),
+                 lambda: repmat(m, 2**62, 1), lambda: repmat(m, 1, 2**64),
+                 lambda: repelems(from_rows([[1, 2]]), [2**62, 1])):
+        with pytest.raises(ArgumentError, match="too large to allocate"):
+            call()
+
+
+def test_comparing_with_an_int_no_double_holds_is_not_elementwise():
+    # m == 10**400 leaked a raw OverflowError; such an int is not a number,
+    # so == and != fall back to identity, as for any other non-number
+    m = magic(4)
+    assert (m == 10**400) is False and (m != 10**400) is True
+    assert (m == "16") is False
 
 
 def test_dims_must_be_integers():

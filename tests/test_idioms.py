@@ -359,6 +359,12 @@ def test_blockproc_block_extents_must_be_integers():
     assert max_abs_diff(blockproc(magic(4), (2.0, 4.0), lambda blk: blk), magic(4)) == 0.0
 
 
+def test_blockproc_refuses_padding_it_cannot_allocate():
+    # numpy's refusal of the padded arrays leaked as a raw ValueError
+    with pytest.raises(ArgumentError, match="too large to allocate"):
+        blockproc(magic(4), (2**62, 2), lambda t: t)
+
+
 def test_blockproc_contract_violation():
     with pytest.raises(ContractError):
         blockproc(magic(4), (2, 2), lambda blk: zeros((3, 3)))

@@ -87,6 +87,28 @@ def test_extract_bounds_error_names_dimension():
         extract(m, IndexExpr.linear(17))
 
 
+def test_span_past_the_extent_names_its_first_position_outside():
+    # the whole range was built before the bounds check: a raw MemoryError
+    m = magic(4)
+    with pytest.raises(IndexBoundsError, match="index 17 out of range 1..16"):
+        m[span(1, 2**62)]
+    with pytest.raises(IndexBoundsError, match="index -4611686018427387\\d+ out of range 1..16"):
+        m[span(END - 2**62, END)]
+    with pytest.raises(IndexBoundsError, match="dimension 1: index 0 out of range 1..4"):
+        m[span(4, -2**62, -4), 1]
+
+
+@settings(max_examples=300)
+@given(st.integers(-6, 12), st.integers(-6, 12),
+       st.integers(-4, 4).filter(bool), st.integers(0, 8))
+def test_span_resolves_up_to_its_first_position_outside(start, stop, step, extent):
+    # an in-range span resolves to its whole range; any other stops right
+    # after the first position outside 1..extent
+    whole = list(range(start, stop + (1 if step > 0 else -1), step))
+    outside = [k for k, p in enumerate(whole) if not 1 <= p <= extent]
+    assert span(start, stop, step).resolve(extent) == whole[: outside[0] + 1 if outside else None]
+
+
 def test_span_rejects_fractional_endpoints():
     for args in ((1.5, 3), (1, 3.5), (float("nan"), 3), (1, float("inf"))):
         with pytest.raises(ArgumentError, match="endpoint must be an integer"):
@@ -196,6 +218,24 @@ def test_assign_shape_mismatch():
     m = magic(4)
     with pytest.raises(ShapeError):
         assign_indexed(m, IndexExpr.of(span(1, 2), span(1, 2)), from_rows([[1, 2, 3]]))
+
+
+def test_assigned_scalar_must_be_a_number_a_double_can_hold():
+    # 10**400 leaked a raw OverflowError from float(), and True was stored as 1
+    m = magic(4)
+    for call in (lambda: assign_indexed(m, IndexExpr.of(1, 1), 10**400),
+                 lambda: logical_assign(m, m < 8, 10**400),
+                 lambda: assign_indexed(m, IndexExpr.linear(2), True),
+                 lambda: assign_indexed(from_rows([[1, 2]]), IndexExpr.linear(5), 10**400)):
+        with pytest.raises(ArgumentError, match="rhs must be a NumArray or a scalar"):
+            call()
+
+
+def test_growth_refuses_a_length_it_cannot_allocate():
+    # numpy's refusal leaked as a raw ValueError
+    for k in (2**62, 10**400):
+        with pytest.raises(ArgumentError, match="too large to allocate"):
+            assign_indexed(from_rows([[1, 2, 3]]), IndexExpr.linear(k), 1.0)
 
 
 def test_assign_rhs_must_be_array_or_scalar():

@@ -277,6 +277,29 @@ def test_eig_degenerate_spectra():
     assert np.abs(np.abs(v[:, -1]) - u / np.linalg.norm(u)).max() <= 1e-12
 
 
+def test_eig_near_the_top_of_the_double_range_matches_scipy():
+    # m[q, q] - m[p, p] overflowed to -inf, so the rotation was the identity
+    # and the values came back as the diagonal, [-1e308, 1e308]
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    s = np.array([[1e308, 1e307], [1e307, -1e308]])
+    e = eig_sym(wrap_ndarray(s))
+    ref = scipy_linalg.eigh(s)[0]
+    assert np.abs(e.values.buf - ref).max() <= 1e-15 * np.abs(ref).max()
+    v = e.vectors.view()
+    assert np.abs(v.T @ v - np.eye(2)).max() <= 1e-15
+    assert e.off_norm <= 1e-12 * 1.1e308
+
+
+def test_eig_max_sweeps_must_be_an_integer():
+    # "x" leaked a raw TypeError; 1.5 and NaN were used as sweep caps
+    s = from_rows([[2, 1], [1, 2]])
+    for bad, match in (("x", "must be a number"), (1.5, "not an integer"),
+                       (math.nan, "not an integer"), (True, "must be a number")):
+        with pytest.raises(ArgumentError, match=match):
+            eig_sym(s, bad)
+    assert eig_sym(s, 5.0).sweeps == eig_sym(s).sweeps
+
+
 def test_eig_sweep_cap_raises():
     s = wrap_ndarray(_random_symmetric(10, 48))
     with pytest.raises(ConvergenceError, match="exceeded 1 "):
@@ -307,6 +330,13 @@ def test_dctmtx_dc_row_and_domain():
     assert np.allclose(t.view()[0, :], 1 / math.sqrt(5), atol=0, rtol=0)
     with pytest.raises(ArgumentError):
         dctmtx(0)
+
+
+def test_dctmtx_order_is_an_integer_not_a_bool():
+    # dctmtx(True) returned a 1x1 basis
+    with pytest.raises(ArgumentError, match="must be a number"):
+        dctmtx(True)
+    assert_exact(dctmtx(4.0), dctmtx(4).view())
 
 
 def test_dctmtx_refuses_orders_it_cannot_allocate():

@@ -213,6 +213,18 @@ def test_extremum_ignores_nan():
 
 # --- merge and mask algebra ---
 
+def test_scalar_operands_must_be_numbers_a_double_can_hold():
+    # 10**400 leaked a raw OverflowError from float(), and True was added as 1
+    m = magic(4)
+    for bad, match in ((10**400, "beyond the largest double"), (True, "must be a number"),
+                       ("2", "must be a number"), (None, "must be a number")):
+        for call in (lambda: m + bad, lambda: ew_binary("*", bad, m),
+                     lambda: compare("<", m, bad), lambda: merge(m < 8, bad, 0),
+                     lambda: apply_broadcast(lambda x, y: x + y, m, bad)):
+            with pytest.raises(ArgumentError, match=match):
+                call()
+
+
 def test_merge_replace_neg_nan_pattern():
     x = from_rows([[0, 1, 2, -1, float("nan"), 3, -2, 4]])
     out = merge(mask_or(isnan_mask(x), compare("<", x, 0)), 0, x)
@@ -263,6 +275,14 @@ def test_apply_broadcast_plus_matches_operator():
         y = wrap_ndarray(rng.standard_normal((1, 4)))
         lifted = apply_broadcast(lambda p, q: p + q, x, y)
         assert max_abs_diff(lifted, x + y) == 0.0
+
+
+def test_apply_broadcast_returns_the_handles_ieee_results_without_warnings():
+    # numpy flagged inf + -inf inside the lifted handle as an invalid value,
+    # a RuntimeWarning (an error under this suite's filter)
+    got = apply_broadcast(lambda p, q: p + q, from_rows([[math.inf, 1e308, 1.0]]), -math.inf)
+    assert_exact(got, [[math.nan, -math.inf, -math.inf]])
+    assert_exact(apply_broadcast(lambda p, q: p * q, 1e308, 10.0), [[math.inf]])
 
 
 def test_apply_broadcast_clamp_and_scalars():
