@@ -51,6 +51,8 @@ def normalize_dims(dims) -> tuple:
     out = _extents(dims)
     if len(out) < 2:
         raise ShapeError(f"rank must be at least 2, got dims {out!r}")
+    if math.prod(filter(None, out)) > _INTP_MAX:  # numpy refuses such a shape even when empty
+        raise ArgumentError(f"an array of dims {out} is too large to allocate")
     return _trim(out)
 
 
@@ -117,6 +119,9 @@ def _is_int(x) -> bool:
     """The one integer test: a Python or numpy int, never a bool."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
+
+# The largest extent, and product of nonzero extents, numpy can index.
+_INTP_MAX = int(np.iinfo(np.intp).max)
 
 # The smallest int that float() rounds past the largest double.
 _INT_PAST_DOUBLE = 2**1024 - 2**970
@@ -431,11 +436,11 @@ def from_rows(rows) -> NumArray:
     if not isinstance(rows[0], (list, tuple)):
         rows = [rows]
     ncols = len(rows[0])
-    for r in rows:
-        if len(r) != ncols:
-            raise ShapeError(f"ragged literal: row lengths {[len(r) for r in rows]}")
-    arr = np.array(rows, dtype=np.float64).reshape(len(rows), ncols)
-    return wrap_ndarray(arr)
+    for i, r in enumerate(rows, 1):
+        if not isinstance(r, (list, tuple)) or len(r) != ncols:
+            raise ShapeError(f"ragged literal: row {i} is not a list of {ncols} elements")
+    flat = [_number(x, "literal element") for r in rows for x in r]
+    return wrap_ndarray(np.array(flat, dtype=np.float64).reshape(len(rows), ncols))
 
 
 def colon_range(start, step, stop) -> NumArray:
@@ -533,6 +538,18 @@ def sub2ind(dims, subs) -> int:
         k += (sub - 1) * stride
         stride *= extent
     return k + 1
+
+
+def _linear_positions(dims, per_dim) -> np.ndarray:
+    """The vectorized sub2ind, 0-based: per-dimension position vectors -> the
+    linear positions of their Cartesian product, listed in column-major order."""
+    pos, stride = per_dim[0], dims[0]
+    for p, extent in zip(per_dim[1:], dims[1:]):
+        # the grid grows last dimension first, so its row-major order is the
+        # selection's column-major order and ravel() copies nothing
+        pos = np.add.outer(p * stride, pos)
+        stride *= extent
+    return pos.ravel()
 
 
 def ind2sub(dims, k: int) -> tuple:

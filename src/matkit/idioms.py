@@ -151,6 +151,7 @@ def distance_matrix(p: NumArray, strategy: str = "fullBroadcast") -> NumArray:
     column, the columns joined once), and 'fullBroadcast' (no loop at all).
     """
     _check_rank2(p, "distance_matrix")
+    _choice(strategy, ("loop3", "rowBroadcast", "fullBroadcast"), "distance strategy")
     n, d = p.dims
     if strategy == "loop3":
         buf = p.to_list()
@@ -171,9 +172,7 @@ def distance_matrix(p: NumArray, strategy: str = "fullBroadcast") -> NumArray:
             ref = extract(p, IndexExpr.of(i, ALL))
             cols.append(ew_unary("sqrt", reduce_along_dim("sum", (p - ref) ** 2, 2)))
         return cat(2, cols)
-    if strategy == "fullBroadcast":
-        return metric_euclidean(p, p)
-    raise ArgumentError(f"unknown distance strategy {strategy!r}")
+    return metric_euclidean(p, p)
 
 
 def _check_point_sets(x: NumArray, y: NumArray):

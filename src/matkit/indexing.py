@@ -1,15 +1,20 @@
 """Index expressions, all 1-based; a logical mask is one more selector.
 
-An IndexExpr is either one selector per dimension (Cartesian selection) or a
-single selector applied to the column-major flattening (linear form). A
-selector is ALL, a scalar, a stepped range, an explicit list, or a BoolMask
-with one bit per position (``A(A < 8)`` is ``A(find(A < 8))``); scalar
-positions may be written relative to the end of the dimension via END, e.g.
-``span(END - 1, END)`` for Octave's ``end-1:end``. Linear extraction keeps
-the index expression's own shape (a range reads as a row) except ALL and a
-mask, which always yield a column. Assignment takes a scalar rhs, or in the
-linear form one element per selected cell (Octave's ``A(I) = B``), in the
-Cartesian form an array of exactly the selection's shape.
+Every index expression denotes a list of linear positions in column-major
+order, as in Octave, where ``A(i, j)`` is ``A(sub2ind(size(A), i, j))``. It
+is written either as one selector per dimension (Cartesian selection, which
+lists the positions of the product of the per-dimension selections down the
+columns first) or as a single selector applied to the column-major
+flattening (linear form). A selector is ALL, a scalar, a stepped range, an
+explicit list, or a BoolMask with one bit per position (``A(A < 8)`` is
+``A(find(A < 8))``); scalar positions may be written relative to the end of
+the dimension via END, e.g. ``span(END - 1, END)`` for Octave's
+``end-1:end``. Extraction, assignment and deletion all act on those
+positions in the flat buffer. Linear extraction keeps the index
+expression's own shape (a range reads as a row) except ALL and a mask, which
+always yield a column. Assignment takes a scalar rhs, or in the linear form
+one element per selected cell (Octave's ``A(I) = B``), in the Cartesian form
+an array of exactly the selection's shape.
 """
 
 from __future__ import annotations
@@ -17,8 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    BoolMask, NumArray, _allocated, _integral, _is_int, _number, normalize_dims,
-    wrap_ndarray,
+    BoolMask, NumArray, _allocated, _integral, _is_int, _linear_positions, _number, _trim,
 )
 from .errors import ArgumentError, IndexBoundsError, ShapeError
 
@@ -126,7 +130,10 @@ def _resolve_selector(sel, extent: int, what: str) -> np.ndarray:
         v = float(vals[k])
         if fractional[k]:
             raise ArgumentError(f"{what}: index {v} is not an integer")
-        shown = int(v) if v.is_integer() else v
+        if _is_int(idx[k]):  # named as given: float64 rounds an int beyond 2**53
+            shown = int(idx[k])
+        else:
+            shown = int(v) if v.is_integer() else v
         raise IndexBoundsError(f"{what}: index {shown} out of range 1..{extent}")
     return vals.astype(np.intp) - 1
 
@@ -154,41 +161,40 @@ class IndexExpr:
     def is_linear(self) -> bool:
         return self.selectors is None
 
-    def _linear_positions(self, a: NumArray):
-        """Resolve the linear form: (0-based positions, result dims)."""
-        sel = self.linear_sel
-        pos = _resolve_selector(sel, a.numel, "linear index")
-        if sel is ALL or isinstance(sel, BoolMask):
-            dims = (pos.size, 1)  # A(:) and A(mask) are always columns
-        elif isinstance(sel, NumArray):
-            dims = sel.dims
-        elif _is_int(sel) or isinstance(sel, End):
-            dims = (1, 1)
-        else:
-            dims = (1, pos.size)
-        return pos, dims
+    def _positions(self, a: NumArray):
+        """Resolve against a: (0-based linear positions, result dims).
 
-    def _cartesian_positions(self, a: NumArray):
-        """Resolve the multi-dim form: per-dim 0-based index vectors."""
+        The positions are listed in the selection's column-major order, so
+        in the Cartesian form A(i, j) is A(sub2ind(size(A), i, j)).
+        """
+        if self.is_linear:
+            sel = self.linear_sel
+            pos = _resolve_selector(sel, a.numel, "linear index")
+            if sel is ALL or isinstance(sel, BoolMask):
+                dims = (pos.size, 1)  # A(:) and A(mask) are always columns
+            elif isinstance(sel, NumArray):
+                dims = sel.dims
+            elif _is_int(sel) or isinstance(sel, End):
+                dims = (1, 1)
+            else:
+                dims = (1, pos.size)
+            return pos, dims
         if len(self.selectors) != a.rank:
             raise ShapeError(
                 f"index expression has {len(self.selectors)} selectors "
                 f"but array rank is {a.rank}"
             )
-        return [
+        per_dim = [
             _resolve_selector(sel, extent, f"dimension {t + 1}")
             for t, (sel, extent) in enumerate(zip(self.selectors, a.dims))
         ]
+        return _linear_positions(a.dims, per_dim), _trim(tuple(p.size for p in per_dim))
 
 
 def extract(a: NumArray, ix: IndexExpr) -> NumArray:
-    """Select elements: Cartesian product per dimension, or linear positions."""
-    if ix.is_linear:
-        pos, dims = ix._linear_positions(a)
-        return NumArray(dims, a.buf[pos])
-    per_dim = ix._cartesian_positions(a)
-    out = a.view()[np.ix_(*per_dim)]
-    return wrap_ndarray(out)
+    """The elements at the selected positions, shaped as the selection."""
+    pos, dims = ix._positions(a)
+    return NumArray(dims, a.buf[pos])
 
 
 def _vector_dims(a: NumArray, n: int) -> tuple:
@@ -214,34 +220,22 @@ def assign_indexed(a: NumArray, ix: IndexExpr, rhs) -> NumArray:
     rows, columns stay columns); matrices never auto-grow.
     """
     scalar_rhs = _is_scalar_rhs(rhs)
-    if ix.is_linear:
-        sel = ix.linear_sel
-        if scalar_rhs and _is_int(sel) and a.rank == 2 and min(a.dims) <= 1 and sel > a.numel:
-            k = int(sel)
-            grown = _allocated(f"a vector grown to {k} elements", np.zeros, k)
-            grown[: a.numel] = a.buf
-            grown[k - 1] = float(rhs)
-            return NumArray(_vector_dims(a, k), grown)
-        pos, _ = ix._linear_positions(a)
-        buf = a.buf.copy()
-        if scalar_rhs:
-            buf[pos] = float(rhs)
-        else:
-            if rhs.numel != pos.size:
-                raise ShapeError(f"assignment rhs has {rhs.numel} elements for {pos.size} cells")
-            buf[pos] = rhs.buf
-        return NumArray(a.dims, buf)
-
-    per_dim = ix._cartesian_positions(a)
-    sel_dims = normalize_dims(tuple(len(p) for p in per_dim))
-    out = a.view().copy(order="K")  # keeps the column-major layout: wrap_ndarray copies nothing
-    if scalar_rhs:
-        out[np.ix_(*per_dim)] = float(rhs)
-    else:
-        if rhs.dims != sel_dims:
+    sel = ix.linear_sel
+    if scalar_rhs and _is_int(sel) and a.rank == 2 and min(a.dims) <= 1 and sel > a.numel:
+        k = int(sel)
+        grown = _allocated(f"a vector grown to {k} elements", np.zeros, k)
+        grown[: a.numel] = a.buf
+        grown[k - 1] = float(rhs)
+        return NumArray(_vector_dims(a, k), grown)
+    pos, sel_dims = ix._positions(a)
+    if not scalar_rhs:
+        if ix.is_linear and rhs.numel != pos.size:
+            raise ShapeError(f"assignment rhs has {rhs.numel} elements for {pos.size} cells")
+        if not ix.is_linear and rhs.dims != sel_dims:
             raise ShapeError(f"assignment rhs shape {rhs.dims} != selection shape {sel_dims}")
-        out[np.ix_(*per_dim)] = rhs.view().reshape([len(p) for p in per_dim])
-    return wrap_ndarray(out)
+    buf = a.buf.copy()
+    buf[pos] = float(rhs) if scalar_rhs else rhs.buf
+    return NumArray(a.dims, buf)
 
 
 def delete_elements(a: NumArray, where) -> NumArray:
@@ -255,17 +249,12 @@ def delete_elements(a: NumArray, where) -> NumArray:
         where = IndexExpr.linear(where)
     elif not isinstance(where, IndexExpr):
         raise ArgumentError(f"delete target must be an IndexExpr or BoolMask, got {where!r}")
-    if where.is_linear:
-        sel = where.linear_sel
-        if isinstance(sel, BoolMask):  # the mask's bits are the drop set; no positions built
-            drop = _mask_bits(sel, a.numel, "linear index")
-        else:
-            drop = np.zeros(a.numel, dtype=bool)
-            drop[where._linear_positions(a)[0]] = True
+    sel = where.linear_sel
+    if isinstance(sel, BoolMask):  # the mask's bits are the drop set; no positions built
+        drop = _mask_bits(sel, a.numel, "linear index")
     else:
-        sub = np.zeros(a.dims, dtype=bool)
-        sub[np.ix_(*where._cartesian_positions(a))] = True
-        drop = wrap_ndarray(sub).bits
+        drop = np.zeros(a.numel, dtype=bool)
+        drop[where._positions(a)[0]] = True
     kept = a.buf[~drop]
     return NumArray(_vector_dims(a, kept.size), kept)
 

@@ -73,6 +73,9 @@ ROWS = {
     "full": lambda d: mk.full(d(dims), d(value)),
     "colon_range": lambda d: mk.colon_range(d(value), d(value), d(value)),
     "magic": lambda d: mk.magic(d(value)),
+    "from_rows": lambda d: mk.from_rows(d(st.lists(
+        st.one_of(value, st.lists(value, max_size=3)), min_size=1, max_size=3
+    ))),
     "reshape": lambda d: mk.reshape(d(arrays()), d(dims)),
     "permute": lambda d: mk.permute(d(arrays()), (d(value), d(value), d(value))),
     "ipermute": lambda d: mk.ipermute(d(arrays()), (d(value), d(value))),

@@ -29,6 +29,7 @@ from matkit import (
     magic,
     ones,
     permute,
+    reduce_along_dim,
     repelems,
     repmat,
     reshape,
@@ -185,6 +186,19 @@ def test_only_core_decides_the_argument_rules():
 def test_ragged_literal_rejected():
     with pytest.raises(ShapeError):
         from_rows([[1, 2], [3]])
+
+
+def test_literal_elements_are_numbers():
+    # the elements bypassed the number rule: 10**400 leaked a raw
+    # OverflowError, "x" and a nested list a raw ValueError, True was stored
+    # as 1 and None as NaN
+    for rows in ([[10**400]], [["x"]], [[1, [2]]], [[True, 2]], [[1, None]], [1, "2"]):
+        with pytest.raises(ArgumentError, match="literal element"):
+            from_rows(rows)
+    with pytest.raises(ShapeError, match="row 2 is not a list of 2 elements"):
+        from_rows([[1, 2], 3])
+    assert_exact(from_rows([[np.int64(1), np.float64(2.5)], [-0.0, math.inf]]),
+                 [[1, 2.5], [-0.0, math.inf]])
 
 
 def test_shape_normalization():
@@ -501,6 +515,18 @@ def test_constructions_refuse_sizes_they_cannot_allocate():
                  lambda: repelems(from_rows([[1, 2]]), [2**62, 1])):
         with pytest.raises(ArgumentError, match="too large to allocate"):
             call()
+
+
+def test_an_empty_array_refuses_extents_numpy_cannot_index():
+    # an extent beyond np.intp passed when another extent was 0, and the
+    # first view of the empty array leaked numpy's raw ValueError
+    for call in (lambda: zeros((10**400, 0)) + 1,
+                 lambda: reduce_along_dim("sum", zeros((2**64, 0)), 1),
+                 lambda: zeros((2**62, 2**62, 0)),
+                 lambda: reshape(zeros((0, 3)), (2**63, 0))):
+        with pytest.raises(ArgumentError, match="too large to allocate"):
+            call()
+    assert zeros((2**62, 0)).dims == (2**62, 0)
 
 
 def test_comparing_with_an_int_no_double_holds_is_not_elementwise():

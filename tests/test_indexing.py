@@ -32,8 +32,8 @@ from matkit import (
     span,
     zeros,
 )
-from matkit.core import wrap_ndarray
-from matkit.indexing import End
+from matkit.core import _is_int, normalize_dims, wrap_ndarray
+from matkit.indexing import End, _is_scalar_rhs, _mask_bits, _resolve_selector
 
 from helpers import assert_exact
 
@@ -96,6 +96,23 @@ def test_span_past_the_extent_names_its_first_position_outside():
         m[span(END - 2**62, END)]
     with pytest.raises(IndexBoundsError, match="dimension 1: index 0 out of range 1..4"):
         m[span(4, -2**62, -4), 1]
+
+
+def test_bounds_error_names_an_int_index_exactly():
+    # the index went through float64 first: END - 2**62 on 16 elements was
+    # named as -4611686018427387904, not -4611686018427387888
+    m = magic(4)
+    far = 2**62 + 1
+    for call, named in (
+        (lambda: m[span(END - 2**62, END)], "linear index: index -4611686018427387888"),
+        (lambda: m[END - 2**62], "linear index: index -4611686018427387888"),
+        (lambda: m[far], "linear index: index 4611686018427387905"),
+        (lambda: m[[1, np.int64(far)]], "linear index: index 4611686018427387905"),
+        (lambda: m[1, (2, far)], "dimension 2: index 4611686018427387905"),
+    ):
+        with pytest.raises(IndexBoundsError) as err:
+            call()
+        assert str(err.value) == named + f" out of range 1..{16 if 'linear' in named else 4}"
 
 
 @settings(max_examples=300)
@@ -497,6 +514,164 @@ def test_mask_selector_matches_the_former_mask_bodies(am, data):
     want = _former_delete_by_mask(a, mask)
     _assert_same_bits(delete_elements(a, mask), want)
     _assert_same_bits(delete_elements(a, IndexExpr.linear(mask)), want)
+
+
+# --- one flat-buffer body against the former linear and Cartesian bodies ---
+
+def _former_linear_positions(ix, a):
+    sel = ix.linear_sel
+    pos = _resolve_selector(sel, a.numel, "linear index")
+    if sel is ALL or isinstance(sel, BoolMask):
+        dims = (pos.size, 1)
+    elif isinstance(sel, NumArray):
+        dims = sel.dims
+    elif _is_int(sel) or isinstance(sel, End):
+        dims = (1, 1)
+    else:
+        dims = (1, pos.size)
+    return pos, dims
+
+
+def _former_cartesian_positions(ix, a):
+    if len(ix.selectors) != a.rank:
+        raise ShapeError(
+            f"index expression has {len(ix.selectors)} selectors but array rank is {a.rank}"
+        )
+    return [
+        _resolve_selector(sel, extent, f"dimension {t + 1}")
+        for t, (sel, extent) in enumerate(zip(ix.selectors, a.dims))
+    ]
+
+
+def _former_extract(a, ix):
+    if ix.is_linear:
+        pos, dims = _former_linear_positions(ix, a)
+        return NumArray(dims, a.buf[pos])
+    return wrap_ndarray(a.view()[np.ix_(*_former_cartesian_positions(ix, a))])
+
+
+def _former_assign_indexed(a, ix, rhs):
+    scalar_rhs = _is_scalar_rhs(rhs)
+    if ix.is_linear:
+        sel = ix.linear_sel
+        if scalar_rhs and _is_int(sel) and a.rank == 2 and min(a.dims) <= 1 and sel > a.numel:
+            grown = np.zeros(int(sel))
+            grown[: a.numel] = a.buf
+            grown[-1] = float(rhs)
+            column = a.rank == 2 and a.cols == 1 and a.rows > 1
+            return NumArray((grown.size, 1) if column else (1, grown.size), grown)
+        pos, _ = _former_linear_positions(ix, a)
+        buf = a.buf.copy()
+        if scalar_rhs:
+            buf[pos] = float(rhs)
+        else:
+            if rhs.numel != pos.size:
+                raise ShapeError(f"assignment rhs has {rhs.numel} elements for {pos.size} cells")
+            buf[pos] = rhs.buf
+        return NumArray(a.dims, buf)
+    per_dim = _former_cartesian_positions(ix, a)
+    lens = [len(p) for p in per_dim]
+    out = a.view().copy(order="K")
+    if scalar_rhs:
+        out[np.ix_(*per_dim)] = float(rhs)
+    else:
+        sel_dims = normalize_dims(tuple(lens))
+        if rhs.dims != sel_dims:
+            raise ShapeError(f"assignment rhs shape {rhs.dims} != selection shape {sel_dims}")
+        out[np.ix_(*per_dim)] = rhs.view().reshape(lens)
+    return wrap_ndarray(out)
+
+
+def _former_delete_elements(a, ix):
+    if ix.is_linear:
+        if isinstance(ix.linear_sel, BoolMask):
+            drop = _mask_bits(ix.linear_sel, a.numel, "linear index")
+        else:
+            drop = np.zeros(a.numel, dtype=bool)
+            drop[_former_linear_positions(ix, a)[0]] = True
+    else:
+        sub = np.zeros(a.dims, dtype=bool)
+        sub[np.ix_(*_former_cartesian_positions(ix, a))] = True
+        drop = wrap_ndarray(sub).bits
+    kept = a.buf[~drop]
+    column = a.rank == 2 and a.cols == 1 and a.rows > 1
+    return NumArray((kept.size, 1) if column else (1, kept.size), kept)
+
+
+def _outcome(call):
+    """What a call did: its dims and values as uint64 bits, or its exception."""
+    try:
+        r = call()
+    except Exception as e:  # the exception class and message are compared
+        return type(e), str(e)
+    return r.dims, r.buf.view(np.uint64).tolist()
+
+
+@st.composite
+def _selectors(draw, extent):
+    """Any selector kind over 1..extent, now and then naming a position outside it."""
+    inside = [st.integers(1, extent)] * 6 if extent else []
+    pos = st.one_of(*inside, st.sampled_from([0, extent + 1]))
+    end = st.integers(0, extent).map(lambda k: END - k)
+    point = st.one_of(pos, end)
+    kind = draw(st.sampled_from(["all", "int", "end", "span", "list", "array", "mask"]))
+    if kind == "all":
+        return ALL
+    if kind == "int":
+        return draw(pos)
+    if kind == "end":
+        return draw(end)
+    if kind == "span":
+        return span(draw(point), draw(point), draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
+    if kind == "list":
+        picks = draw(st.lists(point, max_size=5))
+        return picks + picks[:draw(st.integers(0, 2))]  # repeats, of the same cell too
+    if kind == "array":
+        vals = draw(st.lists(pos, max_size=6))
+        shape = draw(st.sampled_from([(1, len(vals)), (len(vals), 1), (1, 1, len(vals))]))
+        return NumArray(shape, vals)
+    n = extent + draw(st.sampled_from([0, 0, 0, 1]))
+    return BoolMask(draw(st.sampled_from([(n, 1), (1, n)])), draw(
+        st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+@st.composite
+def _indexed(draw):
+    """An array of rank 2 or 3 and an index expression on it, either form."""
+    dims = draw(st.one_of(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        st.tuples(st.just(1), st.integers(0, 5)),
+        st.tuples(st.integers(0, 5), st.just(1)),
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(2, 3)),
+    ))
+    n = math.prod(dims)
+    a = NumArray(dims, draw(st.lists(_VALUES, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        past_end = st.integers(n + 1, n + 3)  # a vector grows
+        sel = draw(st.one_of(*[_selectors(n)] * 5, past_end))
+        return a, IndexExpr.linear(sel)
+    count = len(dims) + draw(st.sampled_from([0, 0, 0, 0, 0, 1, -1]))  # a wrong rank now and then
+    return a, IndexExpr.of(*(draw(_selectors(e)) for e in (list(dims) + [1])[:count]))
+
+
+@settings(max_examples=600)
+@given(_indexed(), st.data())
+def test_one_flat_body_matches_the_former_linear_and_cartesian_bodies(aix, data):
+    a, ix = aix
+    want = _outcome(lambda: _former_extract(a, ix))
+    assert _outcome(lambda: extract(a, ix)) == want
+    want_kept = _outcome(lambda: _former_delete_elements(a, ix))
+    assert _outcome(lambda: delete_elements(a, ix)) == want_kept
+    if data.draw(st.booleans()):
+        rhs = data.draw(_VALUES)
+    else:
+        shape = want[0] if isinstance(want[0], tuple) else (1, 1)
+        k = math.prod(shape)
+        shape = data.draw(st.sampled_from([shape, shape[::-1], (1, k), (k, 1), (1, k + 1)]))
+        rhs = NumArray(shape, data.draw(st.lists(_VALUES, min_size=math.prod(shape),
+                                                 max_size=math.prod(shape))))
+    got = _outcome(lambda: assign_indexed(a, ix, rhs))
+    assert got == _outcome(lambda: _former_assign_indexed(a, ix, rhs))
 
 
 # --- any / all / isnan ---
