@@ -112,9 +112,10 @@ def _resolve_selector(sel, extent: int, what: str) -> np.ndarray:
     elif isinstance(sel, End):
         idx = [sel.resolve(extent)]
     elif _is_int(sel):
-        idx = [sel]
+        idx = [_number(sel, f"{what}: unsupported selector")]
     elif isinstance(sel, (list, tuple)):
-        idx = [s.resolve(extent) if isinstance(s, End) else s for s in sel]
+        entry = f"{what}: unsupported selector entry"
+        idx = [s.resolve(extent) if isinstance(s, End) else _number(s, entry) for s in sel]
     elif isinstance(sel, NumArray):
         idx = sel.buf
     else:

@@ -1,7 +1,11 @@
 """CLI behavior: golden demo transcripts, bench CSV, image pipeline, exit codes."""
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matkit import Prng, decode_pnm, encode_pnm, Image, parse_csv
 from matkit.cli import main
@@ -209,3 +213,43 @@ def test_corrupt_image_reports_offset(tmp_path, capsys):
     code, _, err = run_cli(capsys, "img", "gray", "--in", str(src), "--out", str(tmp_path / "o.pgm"))
     assert code == 1
     assert "byte offset" in err
+
+
+@st.composite
+def _image_files(draw):
+    """Bytes of a small P2/P3/P5/P6 file, maybe mutated, or random bytes. No
+    header asks for more than 5x5 pixels unless a mutation grows it, and then
+    the raster is missing, so the decoder refuses before it allocates. Now
+    and then a mutation inserts a digit run longer than int() converts."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.binary(max_size=64))
+    kind = draw(st.sampled_from([b"P2", b"P3", b"P5", b"P6"]))
+    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    count = w * h * (3 if kind in (b"P3", b"P6") else 1)
+    samples = draw(st.lists(st.integers(0, 255), min_size=count, max_size=count))
+    if kind in (b"P5", b"P6"):
+        raster = bytes(samples)
+    else:
+        raster = b" ".join(b"%d" % v for v in samples)
+    data = kind + b"\n%d %d\n255\n" % (w, h) + raster
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        cut = draw(st.integers(0, 2))
+        chunk = b"9" * 4400 if draw(st.integers(0, 9)) == 0 else draw(st.binary(max_size=3))
+        data = data[:at] + chunk + data[at + cut:]
+    return data
+
+
+@pytest.mark.parametrize("what", ["gray", "dct"])
+@settings(max_examples=150)
+@given(data=_image_files())
+def test_img_on_random_and_mutated_files_exits_cleanly(tmp_path_factory, what, data):
+    folder = tmp_path_factory.mktemp("img")
+    src, dst = folder / "in.pnm", folder / "out"
+    src.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["img", what, "--in", str(src), "--out", str(dst)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == dst.exists()

@@ -182,6 +182,24 @@ def test_selector_error_names_first_offending_index():
         extract(m, IndexExpr.linear(["a"]))
 
 
+def test_list_selector_entries_follow_the_number_rule():
+    # a bool or None inside a list bypassed the number rule: [True, 2] read
+    # True as 1, and [10**400] was refused with all 401 digits in the message
+    m = magic(4)
+    for call, match in ((lambda: m[[True, 2]], "got bool"),
+                        (lambda: m[1, [True]], "dimension 2: unsupported selector entry must be a number, got bool"),
+                        (lambda: m[[None]], "got NoneType"),
+                        (lambda: m[[2, "3"]], "got str"),
+                        (lambda: m[[10**400]], "entry is an int beyond the largest double"),
+                        (lambda: m[10**400], "selector is an int beyond the largest double"),
+                        (lambda: assign_indexed(m, IndexExpr.linear([1, False]), 0.0), "got bool"),
+                        (lambda: delete_elements(m, IndexExpr.linear([None])), "got NoneType")):
+        with pytest.raises(ArgumentError, match=match) as err:
+            call()
+        assert len(str(err.value)) < 80
+    assert_exact(m[[1, END - 1, 2.0]], [[16, 12, 5]])
+
+
 def test_extract_with_array_index_keeps_its_shape():
     m = magic(4)
     ix = from_rows([[1, 6, 11, 16]])

@@ -149,6 +149,22 @@ def test_mldivide_residual_bound_50x50():
         assert resid <= bound
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 60, 150])
+def test_mldivide_matches_scipy_solve(n):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(1000 + n)
+    a = rng.standard_normal((n, n))
+    a += np.diag(np.abs(a).sum(axis=1) + 1.0)  # diagonally dominant: well conditioned
+    b = rng.standard_normal((n, 1))
+    x = mldivide(wrap_ndarray(a), wrap_ndarray(b)).view()
+    ref = scipy_linalg.solve(a, b)
+    # Both are LU solves with partial pivoting, hence backward stable: each
+    # solution is within about n * cond(A) * eps of the true one, relative to
+    # its size, so twice that bounds their difference.
+    tol = 2 * n * np.linalg.cond(a, 1) * np.finfo(float).eps * np.abs(ref).max()
+    assert np.abs(x - ref).max() <= tol
+
+
 def test_mldivide_singular():
     s = from_rows([[1, 2], [2, 4]])
     with pytest.raises(SingularMatrixError):
@@ -317,6 +333,18 @@ def test_eig_result_diagnostics_default():
 def test_dctmtx_order_2():
     s = 0.70711
     assert_close(dctmtx(2), [[s, s], [s, -s]], tol=1e-5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 31, 64, 128])
+def test_dctmtx_matches_scipy_dct_of_the_identity(n):
+    scipy_fft = pytest.importorskip("scipy.fft")
+    ref = scipy_fft.dct(np.eye(n), norm="ortho", axis=0)
+    # dctmtx rounds each cosine argument pi * (2j + 1) * i / (2n), which is
+    # below pi * n, three times: an error up to 1.5 * pi * n * eps that cos
+    # passes on scaled by sqrt(2 / n), i.e. 1.5 * pi * sqrt(2n) * eps. scipy's
+    # FFT-based transform adds a few ulp of its own.
+    tol = (1.5 * math.pi * math.sqrt(2 * n) + 4) * np.finfo(float).eps
+    assert np.abs(dctmtx(n).view() - ref).max() <= tol
 
 
 def test_dctmtx_orthonormal():
