@@ -11,10 +11,12 @@ dimension is repeated without materializing copies.
 Reductions accumulate in ascending index order, deliberately: no pairwise or
 compensated summation, so a vectorized sum is bit-for-bit equal to the naive
 sequential loop over the same data. One helper, _ascending, does every such
-fold (reduce_along_dim here, linalg.dot too): it walks the reduced axis in
-slabs of at most _SLAB elements and scans each slab from the running partial
-result, so no scan as large as the input is ever built. Elementwise maps may
-be parallelized freely by the backend; reductions stay sequential per slice.
+fold (reduce_along_dim here, linalg.dot too): it indexes the reduced axis in
+place, walks it in slabs of at most _SLAB elements and scans each slab from
+the running partial result, so no scan as large as the input is ever built.
+When one slice fills a slab, the fold starts from a copy of the first slice
+and adds each later slice in place. Elementwise maps may be parallelized
+freely by the backend; reductions stay sequential per slice.
 """
 
 from __future__ import annotations
@@ -111,24 +113,34 @@ def _ascending(ufunc, v: np.ndarray, ax: int) -> np.ndarray:
     """ufunc folded along axis ax in ascending index order; ax is kept, extent 1.
 
     Bit for bit the last slice of ufunc.accumulate(v, axis=ax), without a scan
-    as large as v. The axis is walked in slabs of at most _SLAB elements; each
-    slab is scanned from the running partial result, carried as the left
-    operand (acc + v[k], the sequential order). When one slice alone fills a
-    slab, each step is a single in-place ufunc(acc, v[k]). v must have a
-    nonzero extent along ax.
+    as large as v. The axis is walked in slabs of `rows` slices, at most
+    _SLAB elements each, indexed in place through a (slice(None),) * ax
+    prefix. The first slab is scanned directly; each later one is scanned
+    from the running partial result, carried as the left operand (acc + v[k],
+    the sequential order). When one slice alone fills a slab (rows == 1), the
+    fold starts from a copy of the first slice and each step is a single
+    in-place ufunc(acc, v[k]). v must have a nonzero extent along ax.
     """
-    v = np.moveaxis(v, ax, 0)  # a view: the reduced axis first, no data copied
-    rows = max(1, _SLAB // max(1, v[0].size))
+    pre = (slice(None),) * ax
+    last = pre + (slice(-1, None),)
+    n = v.shape[ax]
+    rows = max(1, _SLAB // max(1, v.size // n))
+
+    def part(k, m=1):  # slices k .. k+m-1 along ax, a view
+        return v[pre + (slice(k, k + m),)]
+
     with np.errstate(all="ignore"):  # inf - inf is NaN and overflow is inf, as IEEE-754 says
-        acc = ufunc.accumulate(v[:rows], axis=0)[-1:]  # the first slab needs no carry
-        for k in range(rows, len(v), rows):
-            if rows == 1:
-                ufunc(acc, v[k:k + 1], out=acc)
-            else:
-                scan = np.concatenate((acc, v[k:k + rows]))
-                ufunc.accumulate(scan, axis=0, out=scan)
-                acc = scan[-1:]
-    return np.moveaxis(acc, 0, ax)
+        if rows == 1:
+            acc = part(0).copy(order="K")
+            for k in range(1, n):
+                ufunc(acc, part(k), out=acc)
+            return acc
+        acc = ufunc.accumulate(part(0, rows), axis=ax)[last]  # the first slab needs no carry
+        for k in range(rows, n, rows):
+            scan = np.concatenate((acc, part(k, rows)), axis=ax)
+            ufunc.accumulate(scan, axis=ax, out=scan)
+            acc = scan[last]
+    return acc
 
 
 def reduce_along_dim(kind: str, a: NumArray, dim: int) -> NumArray:

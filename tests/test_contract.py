@@ -2,9 +2,12 @@
 
 One table row per exported callable that takes a count, size or dims tuple,
 an order, seed or subscript, a selector, reps or max_sweeps, or a scalar
-operand. Each row draws those arguments from VALUES (and dims tuples of
-them), and its arrays from arrays(): empty, 1xn, nx1 or 3-D, holding NaN
-and inf. Function handles are always well behaved. Wrong-class arguments (a list
+operand; and one per scan, metric and reduction caller (dot, rgb2gray,
+distance_matrix, nearest_neighbor, replace_neg_nan), which take arrays and
+a variant, strategy or metric. Each row draws those arguments from VALUES
+(and dims tuples of them), its variant, strategy or metric from the valid
+ones, and its arrays from arrays(): empty, 1xn, nx1 or 3-D, holding NaN,
+inf and -0. Function handles are always well behaved. Wrong-class arguments (a list
 where a NumArray belongs, a BoolMask as an operand, a handle that cannot be
 called) are outside the contract, as the README says, and are not drawn.
 
@@ -62,6 +65,15 @@ def _logical_assign(d):
     return mk.logical_assign(a, a > 0, d(value))
 
 
+def _scan(fn):
+    return lambda d: fn(d(arrays()), d(st.sampled_from(["loop", "vectorized"])))
+
+
+def _nearest_neighbor(d):
+    metric = d(st.sampled_from([mk.metric_euclidean, mk.metric_manhattan]))
+    return mk.nearest_neighbor(d(arrays()), d(arrays()), metric)
+
+
 def _span(d):
     end = st.one_of(value, value.map(lambda k: END - k))
     return mk.extract(d(arrays()), IndexExpr.linear(mk.span(d(end), d(end), d(value))))
@@ -105,6 +117,18 @@ ROWS = {
     "reduce_along_dim": lambda d: mk.reduce_along_dim("sum", d(arrays()), d(value)),
     "cumsum_along_dim": lambda d: mk.cumsum_along_dim(d(arrays()), d(value)),
     "extremum": lambda d: mk.extremum("min", d(arrays()), d(value)),
+    "dot": lambda d: mk.dot(d(arrays()), d(arrays())),
+    "rgb2gray": lambda d: mk.rgb2gray(d(arrays())),
+    "zigzag_scan": _scan(mk.zigzag_scan),
+    "boustrophedon_scan": _scan(mk.boustrophedon_scan),
+    "linear_scan": _scan(mk.linear_scan),
+    "distance_matrix": lambda d: mk.distance_matrix(
+        d(arrays()), d(st.sampled_from(["loop3", "rowBroadcast", "fullBroadcast"]))
+    ),
+    "metric_euclidean": lambda d: mk.metric_euclidean(d(arrays()), d(arrays())),
+    "metric_manhattan": lambda d: mk.metric_manhattan(d(arrays()), d(arrays())),
+    "nearest_neighbor": _nearest_neighbor,
+    "replace_neg_nan": lambda d: mk.replace_neg_nan(d(arrays())),
     "dctmtx": lambda d: mk.dctmtx(d(value)),
     "eig_sym": _eig_sym,
     "blockproc": lambda d: mk.blockproc(d(arrays()), (d(value), d(value)), lambda t: t),

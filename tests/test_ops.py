@@ -457,12 +457,20 @@ def test_reduce_along_dim_matches_scalar_loop(data):
                 _assert_same_bits(reduce_along_dim(kind, a, dim), _loop_reduce(kind, a.view(), dim))
 
 
-@pytest.mark.parametrize("dims, dim", [((3, 70000), 2), ((70000, 2), 1), ((70000, 3), 2)])
+@pytest.mark.parametrize("dims, dim", [
+    ((3, 70000), 2), ((70000, 2), 1), ((70000, 3), 2),
+    ((2, 100, 200), 1), ((200, 5, 100), 2), ((129, 129, 3), 3),
+])
 def test_reduce_across_real_slab_boundaries(dims, dim):
     # several slabs of a few lanes, several slabs of two lanes, one slice per
-    # step; values near 1 keep every product finite and every sum rounding
+    # step, and one wide (often strided) slice per slab along each axis;
+    # values near 1 keep every product finite and every sum rounding
     x = 1.0 + 1e-3 * Prng(23).normal(dims).view()
-    np.moveaxis(x, dim - 1, 0)[:3, 0] = [-0.0, np.inf, np.nan]  # all in the first lane
+    v = np.moveaxis(x, dim - 1, 0)
+    if x.ndim == 3:  # one slice fills a slab, so the fold starts from a copy of it
+        v[0].flat[:3] = [-0.0, np.inf, np.nan]  # all in the first slice
+    else:
+        v[:3, 0] = [-0.0, np.inf, np.nan]  # all in the first lane
     a = wrap_ndarray(x)
     with np.errstate(all="ignore"):
         for kind in ("sum", "prod", "mean"):
