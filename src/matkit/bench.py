@@ -5,10 +5,10 @@ variants over the same generated inputs. Before any timing, every variant's
 result must equal the first's exactly: the same dims and the same values,
 with NaN matching NaN (and -0.0 matching 0.0). Agreement is exact, never
 approximate: the first difference aborts the scenario with a
-VerificationError naming its 1-based subscript. Timing is one untimed
-warmup call followed by `reps` sequential calls on a monotonic clock,
-single-threaded, with no statistical post-processing: the harness
-demonstrates relative structure, not rigorous microbenchmarking.
+VerificationError naming its 1-based subscript. That verification call is
+each variant's warm-up: timing is then `reps` sequential calls on a
+monotonic clock, single-threaded, with no statistical post-processing: the
+harness demonstrates relative structure, not rigorous microbenchmarking.
 
 The generator is splitmix64 in counter mode: draw i of a stream seeded with
 s mixes the 64-bit state s + i * 0x9E3779B97F4A7C15 through two
@@ -127,12 +127,12 @@ def checksum(a: NumArray) -> float:
 
 
 def time_it(f: Callable[[], NumArray], reps: int):
-    """Wall time of reps sequential calls after one untimed warmup.
+    """Wall time of exactly reps sequential calls, with no warm-up of its own.
 
-    Returns (total_seconds, checksum-of-last-result).
+    run_scenario's verification call is each variant's warm-up. Returns
+    (total_seconds, checksum-of-last-result).
     """
     reps = _positive(reps, "reps")
-    result = f()  # warmup
     t0 = time.perf_counter()
     for _ in range(reps):
         result = f()
@@ -183,7 +183,11 @@ def _verify_equal(scenario: str, ref: str, other: str, a: NumArray, b: NumArray)
 
 
 def run_scenario(s: BenchScenario, seed: int) -> List[TimingRecord]:
-    """Verify all variants equal the first, then time each; abort if one differs."""
+    """Verify all variants equal the first, then time each; abort if one differs.
+
+    The verification call is each variant's warm-up, so a variant runs
+    reps + 1 times in all.
+    """
     variants = s.setup(Prng(seed))
     names = list(variants)
     results = {name: variants[name]() for name in names}

@@ -30,6 +30,7 @@ from .idioms import (
 )
 from .indexing import ALL, END, IndexExpr, assign_indexed, extract, isnan_mask, logical_assign, logical_extract, span
 from .linalg import dctmtx, matmul
+from .ops import ew_binary
 from .pnm import Image, read_pnm, write_pnm
 
 _SCANS = {
@@ -102,7 +103,9 @@ def _demo_pca_text(n: int, seed: int) -> str:
         f"basis orthonormality max|P'P - I|: {fmt(ortho)}",
         f"projected covariance max off-diagonal: {fmt(off_diag)}",
         f"component variances (ascending): {fmt(variances[0])} {fmt(variances[1])}",
-        f"variance ratio major/minor: {fmt(variances[1] / variances[0])}",
+        # IEEE division: two samples leave a rank-1 covariance whose minor
+        # variance can be exactly 0, and then the ratio is inf
+        f"variance ratio major/minor: {fmt(ew_binary('/', variances[1], variances[0]).item())}",
     ]
     return "\n".join(lines) + "\n"
 

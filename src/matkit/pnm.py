@@ -5,7 +5,8 @@ wherever whitespace is. Leading zeros of a field do not count, and a field
 of more than 20 significant digits is refused. Decoded pixel values are
 integral floats in [0, 255]; gray images are h x w arrays, color images
 h x w x 3 volumes, both column-major like everything else. The writer emits
-binary P5/P6 and a write-then-read round trip reproduces the pixels exactly.
+binary P5/P6 and a write-then-read round trip reproduces the pixels exactly;
+it refuses an image with no pixels, as the reader refuses a zero extent.
 
 The header is read one field at a time by a scanner. An ASCII (P2/P3)
 raster is decoded in vector notation: byte classes from lookup tables,
@@ -221,8 +222,11 @@ def read_pnm(path) -> Image:
 
 
 def encode_pnm(img: Image) -> bytes:
-    """Encode as binary P5 (gray) or P6 (color) with maxval 255."""
+    """Encode as binary P5 (gray) or P6 (color) with maxval 255; an image with
+    no pixels is refused."""
     v = img.pixels.view()
+    if v.size == 0:
+        raise ArgumentError(f"cannot encode an image with no pixels, got {img.pixels.dims}")
     if not np.all((v >= 0) & (v <= 255) & (v == np.floor(v))):
         raise ArgumentError("image pixels must be integral values in [0, 255]")
     kind = b"P6" if img.channels == 3 else b"P5"
@@ -232,5 +236,6 @@ def encode_pnm(img: Image) -> bytes:
 
 
 def write_pnm(img: Image, path):
+    data = encode_pnm(img)  # before open, so a refused image leaves no file
     with open(path, "wb") as fh:
-        fh.write(encode_pnm(img))
+        fh.write(data)

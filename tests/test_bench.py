@@ -150,10 +150,36 @@ def test_time_it_scales_with_reps(monkeypatch):
         return x + x
 
     t1, _ = time_it(work, reps=10)
-    assert clock["calls"] == 11  # reps + 1: the warm-up call stays untimed
+    assert clock["calls"] == 10  # exactly reps: run_scenario's verify call is the warm-up
     t2, _ = time_it(work, reps=20)
-    assert clock["calls"] == 11 + 21
+    assert clock["calls"] == 10 + 20
     assert (t1, t2) == (10.0, 20.0)  # doubling reps doubles time
+
+
+def test_run_scenario_verifies_once_then_times_reps(monkeypatch):
+    # the verification call is each variant's warm-up: one untimed call,
+    # then reps timed ones, and nothing else
+    clock = {"now": 0.0}
+    monkeypatch.setattr(matkit.bench, "time", SimpleNamespace(perf_counter=lambda: clock["now"]))
+    calls = {"a": [], "b": []}
+
+    def setup(rng):
+        x = rng.uniform((1, 4))
+
+        def variant(name):
+            def f():
+                calls[name].append(clock["now"])
+                clock["now"] += 1.0
+                return x + x
+            return f
+
+        return {"a": variant("a"), "b": variant("b")}
+
+    records = run_scenario(BenchScenario("count", 4, 3, setup), seed=1)
+    assert {k: len(v) for k, v in calls.items()} == {"a": 4, "b": 4}  # reps + 1
+    # both verify calls come before any timed call
+    assert calls["a"][0] < calls["b"][0] < min(calls["a"][1:] + calls["b"][1:])
+    assert [r.total_seconds for r in records] == [3.0, 3.0]
 
 
 # --- scenarios ---

@@ -120,6 +120,16 @@ def test_demo_pca_deterministic(capsys):
     assert "variance ratio" in first
 
 
+@pytest.mark.parametrize("seed", ["3", "4", "7"])
+def test_demo_pca_two_samples_divides_like_ieee(capsys, seed):
+    # two samples give a rank-1 covariance; at these seeds its minor
+    # variance is exactly 0, and the ratio is inf rather than a traceback
+    code, out, err = run_cli(capsys, "--seed", seed, "demo", "pca", "--n", "2")
+    assert code == 0
+    assert "Traceback" not in err
+    assert out.splitlines()[-1] == "variance ratio major/minor: inf"
+
+
 def test_bench_zigzag_seed_stable_checksums(capsys):
     code, out1, _ = run_cli(capsys, "bench", "run", "--scenario", "zigzag", "--seed", "7")
     assert code == 0
@@ -253,3 +263,55 @@ def test_img_on_random_and_mutated_files_exits_cleanly(tmp_path_factory, what, d
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert (code == 0) == dst.exists()
+
+
+# Placeholders for files the argv fuzz puts in a fresh folder per example.
+_PPM, _PGM, _MISSING, _OUT = "<ppm>", "<pgm>", "<missing>", "<out>"
+_NUMBER = st.integers(-2, 16).map(str)
+_JUNK = ["--", "-x", "nan", "inf", "1.5", "-1", "0", ""]
+
+
+@st.composite
+def _argvs(draw):
+    """A command from the CLI's grammar, then up to two junk tokens inserted
+    anywhere. Every size is at most 16, and every bench run names grayscale
+    or an unknown scenario, so no stock-size scenario starts."""
+    def opt(flag, values):
+        return [flag, draw(values)] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(["index", "replace", "scan", "pca", "bench", "gray", "dct"]))
+    if command in ("index", "replace"):
+        argv = ["demo", command]
+    elif command == "scan":
+        kind = draw(st.sampled_from(["linear", "boustrophedon", "zigzag"]))
+        argv = ["demo", "scan", "--kind", kind, *opt("--size", _NUMBER),
+                *opt("--variant", st.sampled_from(["loop", "vec"]))]
+    elif command == "pca":
+        argv = ["demo", "pca", "--n", draw(_NUMBER), *opt("--seed", _NUMBER)]
+    elif command == "bench":
+        scenario = draw(st.sampled_from(["grayscale", "warpdrive"]))
+        argv = ["bench", "run", "--scenario", scenario, *opt("--seed", _NUMBER),
+                *opt("--out", st.just(_OUT))]
+    else:
+        infile = draw(st.sampled_from([_PPM, _PGM, _MISSING]))
+        block = opt("--block", _NUMBER) if command == "dct" else []
+        argv = ["img", command, "--in", infile, *block, "--out", _OUT]
+    argv = opt("--seed", _NUMBER) + argv
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_JUNK)))
+    return argv
+
+
+@settings(max_examples=200)
+@given(argv=_argvs())
+def test_random_argv_exits_cleanly(tmp_path_factory, argv):
+    folder = tmp_path_factory.mktemp("argv")
+    files = {_PPM: folder / "in.ppm", _PGM: folder / "in.pgm",
+             _MISSING: folder / "missing.ppm", _OUT: folder / "out"}
+    files[_PPM].write_bytes(encode_pnm(Image(pixels=Prng(1).randint(0, 255, (3, 5, 3)))))
+    files[_PGM].write_bytes(encode_pnm(Image(pixels=Prng(2).randint(0, 255, (5, 3)))))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(files.get(token, token)) for token in argv])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -4,12 +4,17 @@ One table row per exported callable that takes a count, size or dims tuple,
 an order, seed or subscript, a selector, reps or max_sweeps, or a scalar
 operand; and one per scan, metric and reduction caller (dot, rgb2gray,
 distance_matrix, nearest_neighbor, replace_neg_nan), which take arrays and
-a variant, strategy or metric. Each row draws those arguments from VALUES
-(and dims tuples of them), its variant, strategy or metric from the valid
-ones, and its arrays from arrays(): empty, 1xn, nx1 or 3-D, holding NaN,
-inf and -0. Function handles are always well behaved. Wrong-class arguments (a list
-where a NumArray belongs, a BoolMask as an operand, a handle that cannot be
-called) are outside the contract, as the README says, and are not drawn.
+a variant, strategy or metric; and one per PNM codec: encode_pnm takes an
+Image of arrays(), and decode_pnm a P2/P3/P5/P6 header whose width, height
+and maxval are VALUES rendered as text, then a short raster (binary, or
+ASCII samples that are VALUES too). Sizes 1 and 2 and maxval 255 are drawn
+as well, so that rasters get read. Each row draws those arguments from
+VALUES (and dims tuples of them), its variant, strategy or metric from the
+valid ones, and its arrays from arrays(): empty, 1xn, nx1 or 3-D, holding
+NaN, inf and -0. Function handles are always well behaved. Wrong-class
+arguments (a list where a NumArray belongs, a BoolMask as an operand, a
+handle that cannot be called) are outside the contract, as the README says,
+and are not drawn.
 
 The one large value is at least 2**62: any size built from it is at least
 2**62 elements of 8 bytes, which numpy refuses before it allocates anything.
@@ -79,6 +84,23 @@ def _span(d):
     return mk.extract(d(arrays()), IndexExpr.linear(mk.span(d(end), d(end), d(value))))
 
 
+def _text(v):
+    return str(v).encode()
+
+
+def _decode_pnm(d):
+    kind = d(st.sampled_from([b"P2", b"P3", b"P5", b"P6"]))
+    size = st.one_of(value, st.sampled_from([1, 2]))
+    width, height = _text(d(size)), _text(d(size))
+    maxval = _text(d(st.one_of(value, st.just(255))))
+    sample = st.one_of(value, st.sampled_from([255, 256]))
+    raster = d(st.one_of(
+        st.binary(max_size=12),
+        st.lists(sample.map(_text), max_size=12).map(b" ".join),
+    ))
+    return mk.decode_pnm(kind + b"\n" + width + b" " + height + b"\n" + maxval + b"\n" + raster)
+
+
 ROWS = {
     "zeros": lambda d: mk.zeros(d(dims)),
     "ones": lambda d: mk.ones(d(dims)),
@@ -132,6 +154,8 @@ ROWS = {
     "dctmtx": lambda d: mk.dctmtx(d(value)),
     "eig_sym": _eig_sym,
     "blockproc": lambda d: mk.blockproc(d(arrays()), (d(value), d(value)), lambda t: t),
+    "encode_pnm": lambda d: mk.encode_pnm(mk.Image(pixels=d(arrays()))),
+    "decode_pnm": _decode_pnm,
     "Prng": lambda d: mk.Prng(d(value)).uniform((1, 2)),
     "Prng.uniform": lambda d: mk.Prng(1).uniform(d(dims)),
     "Prng.normal": lambda d: mk.Prng(1).normal(d(dims)),

@@ -94,6 +94,18 @@ def test_write_then_read_round_trip(tmp_path):
         assert np.array_equal(back.pixels.buf, img.pixels.buf)
 
 
+def test_writer_refuses_images_the_reader_refuses(tmp_path):
+    # the reader refuses a zero extent ("bad raster size"), so the writer
+    # must not emit one
+    for dims in ((0, 0), (0, 3), (3, 0, 3)):
+        img = Image(pixels=full(dims, 0.0))
+        with pytest.raises(ArgumentError, match="no pixels"):
+            encode_pnm(img)
+        with pytest.raises(ArgumentError, match="no pixels"):
+            write_pnm(img, tmp_path / "empty.pnm")
+        assert not (tmp_path / "empty.pnm").exists()
+
+
 def test_row_major_raster_order():
     # P5 raster walks rows first; our buffer is column-major
     img = decode_pnm(b"P5\n2 2\n255\n" + bytes([1, 2, 3, 4]))
