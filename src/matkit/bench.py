@@ -20,18 +20,18 @@ exactly uniform.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 import numpy as np
 
-from .core import NumArray, _allocated, _integral, _positive, ind2sub, normalize_dims, numel_of
+from .core import NumArray, _allocated, _integral, _positive, ind2sub, normalize_dims
 from .errors import ArgumentError, VerificationError
 from .idioms import (
     boustrophedon_scan,
     distance_matrix,
-    linear_scan,
     rgb2gray,
     rgb2gray_loop,
     zigzag_scan,
@@ -71,13 +71,13 @@ class Prng:
     def uniform(self, dims) -> NumArray:
         """Doubles in [0, 1), filled in column-major buffer order."""
         dims = normalize_dims(dims)
-        vals = (self._raw(numel_of(dims)) >> np.uint64(11)).astype(np.float64) / _TWO53
+        vals = (self._raw(math.prod(dims)) >> np.uint64(11)).astype(np.float64) / _TWO53
         return NumArray(dims, vals)
 
     def normal(self, dims) -> NumArray:
         """Standard normal deviates via Box-Muller on uniform pairs."""
         dims = normalize_dims(dims)
-        n = numel_of(dims)
+        n = math.prod(dims)
         pairs = (n + 1) // 2
         u1 = ((self._raw(pairs) >> np.uint64(11)).astype(np.float64) + 1.0) / _TWO53
         u2 = (self._raw(pairs) >> np.uint64(11)).astype(np.float64) / _TWO53
@@ -91,18 +91,21 @@ class Prng:
     def randint(self, lo: int, hi: int, dims) -> NumArray:
         """Integers uniform over lo..hi inclusive (rejection sampling).
 
-        lo and hi must be integral numbers. The spread hi - lo + 1 may be at
-        most 2**53, the most consecutive integers a float64 result holds
-        exactly.
+        lo and hi must be integral numbers within -2**53..2**53, where every
+        integer is a double, so lo + draw is exact. The spread hi - lo + 1
+        may be at most 2**53, the most consecutive integers a float64
+        result holds exactly.
         """
         lo, hi = _integral(lo, "randint lo"), _integral(hi, "randint hi")
         if lo > hi:
             raise ArgumentError(f"randint needs lo <= hi, got {lo} > {hi}")
+        if lo < -(1 << 53) or hi > 1 << 53:
+            raise ArgumentError(f"randint bounds must lie in -2**53..2**53, got {lo}..{hi}")
         spread = hi - lo + 1
         if spread > 1 << 53:
             raise ArgumentError(f"randint spread {spread} exceeds 2**53")
         dims = normalize_dims(dims)
-        n = numel_of(dims)
+        n = math.prod(dims)
         remainder = (1 << 64) % spread
         accepted = [np.empty(0, dtype=np.uint64)]
         need = n
@@ -273,9 +276,7 @@ def _setup_mean_above_50(n):
     return setup
 
 
-def _setup_scan(kind, size):
-    scan = {"linear": linear_scan, "boustrophedon": boustrophedon_scan, "zigzag": zigzag_scan}[kind]
-
+def _setup_scan(scan, size):
     def setup(rng: Prng):
         m = rng.randint(1, 100, (size, size))
         return {
@@ -324,9 +325,9 @@ def built_in_scenarios(
             "mean-above-50", vector_n, 1, _setup_mean_above_50(vector_n)
         ),
         "boustrophedon": BenchScenario(
-            "boustrophedon", scan_size, 1, _setup_scan("boustrophedon", scan_size)
+            "boustrophedon", scan_size, 1, _setup_scan(boustrophedon_scan, scan_size)
         ),
-        "zigzag": BenchScenario("zigzag", scan_size, 1, _setup_scan("zigzag", scan_size)),
+        "zigzag": BenchScenario("zigzag", scan_size, 1, _setup_scan(zigzag_scan, scan_size)),
         "distance": BenchScenario(
             "distance", distance_n, 1, _setup_distance(distance_n, distance_d)
         ),

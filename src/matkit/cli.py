@@ -233,10 +233,7 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
         return _cmd_img(args)
-    except MatkitError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (MatkitError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

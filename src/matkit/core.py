@@ -53,7 +53,10 @@ def normalize_dims(dims) -> tuple:
         raise ShapeError(f"rank must be at least 2, got dims {out!r}")
     if math.prod(filter(None, out)) > _INTP_MAX:  # numpy refuses such a shape even when empty
         raise ArgumentError(f"an array of dims {out} is too large to allocate")
-    return _trim(out)
+    out = _trim(out)
+    if len(out) > _MAX_RANK:
+        raise ShapeError(f"rank {len(out)} exceeds numpy's rank limit {_MAX_RANK}")
+    return out
 
 
 def _extents(dims) -> tuple:
@@ -123,6 +126,9 @@ def _is_int(x) -> bool:
 # The largest extent, and product of nonzero extents, numpy can index.
 _INTP_MAX = int(np.iinfo(np.intp).max)
 
+# The most dimensions a numpy array can have: 64 since numpy 2.0, 32 before.
+_MAX_RANK = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
+
 # The smallest int that float() rounds past the largest double.
 _INT_PAST_DOUBLE = 2**1024 - 2**970
 
@@ -181,13 +187,6 @@ def _allocated(what: str, make, *args, **kwargs):
         raise ArgumentError(f"{what} is too large to allocate") from None
 
 
-def numel_of(dims) -> int:
-    n = 1
-    for d in dims:
-        n *= d
-    return n
-
-
 def _set_slots(obj, dims: tuple, flat: np.ndarray):
     """Fill an immutable value's two slots: its dims and its flat buffer."""
     object.__setattr__(obj, "dims", dims)
@@ -198,9 +197,9 @@ def _init_checked(obj, dims, flat):
     """The validating body of NumArray(dims, buf) and BoolMask(dims, bits)."""
     dims = normalize_dims(dims)
     flat = np.asarray(flat, dtype=type(obj)._DTYPE).ravel()
-    if flat.size != numel_of(dims):
+    if flat.size != math.prod(dims):
         raise ShapeError(
-            f"buffer has {flat.size} elements but shape {dims} needs {numel_of(dims)}"
+            f"buffer has {flat.size} elements but shape {dims} needs {math.prod(dims)}"
         )
     _set_slots(obj, dims, flat)
 
@@ -409,6 +408,12 @@ def wrap_ndarray(arr: np.ndarray):
     return out
 
 
+def _view_at_rank(a, rank: int) -> np.ndarray:
+    """a's nd view (NumArray or BoolMask) with trailing singleton axes up to
+    rank >= a's own: every dimension past an array's rank is a singleton."""
+    return getattr(a, a._FLAT).reshape(a.dims + (1,) * (rank - len(a.dims)), order="F")
+
+
 # -- construction ---------------------------------------------------------
 
 def zeros(dims) -> NumArray:
@@ -422,7 +427,7 @@ def ones(dims) -> NumArray:
 def full(dims, value) -> NumArray:
     dims = normalize_dims(dims)
     value = float(_number(value, "fill value"))
-    return NumArray(dims, _allocated(f"a {dims} array", np.full, numel_of(dims), value))
+    return NumArray(dims, _allocated(f"a {dims} array", np.full, math.prod(dims), value))
 
 
 def from_rows(rows) -> NumArray:
@@ -487,7 +492,7 @@ def magic(n: int) -> NumArray:
 def reshape(a: NumArray, dims) -> NumArray:
     """Same buffer, new shape: a column-major reinterpretation, never a copy."""
     dims = normalize_dims(dims)
-    if numel_of(dims) != a.numel:
+    if math.prod(dims) != a.numel:
         raise ShapeError(f"cannot reshape {a.dims} ({a.numel} elements) to {dims}")
     return NumArray(dims, a.buf)
 
@@ -503,8 +508,9 @@ def permute(a: NumArray, order) -> NumArray:
     k = len(order)
     if k < a.rank or sorted(order) != list(range(1, k + 1)):
         raise ArgumentError(f"order {order} is not a permutation of 1..rank for {a.dims}")
-    v = a.buf.reshape(a.dims + (1,) * (k - a.rank), order="F")
-    return wrap_ndarray(np.transpose(v, axes=[o - 1 for o in order]))
+    if k > _MAX_RANK:
+        raise ArgumentError(f"permute order of length {k} exceeds numpy's rank limit {_MAX_RANK}")
+    return wrap_ndarray(np.transpose(_view_at_rank(a, k), axes=[o - 1 for o in order]))
 
 
 def ipermute(a: NumArray, order) -> NumArray:
@@ -556,8 +562,8 @@ def ind2sub(dims, k: int) -> tuple:
     """Column-major 1-based linear index -> subscripts."""
     dims = _extents(dims)
     k = _integral(k, "linear index")
-    if not 1 <= k <= numel_of(dims):
-        raise IndexBoundsError(f"linear index {k} out of range 1..{numel_of(dims)}")
+    if not 1 <= k <= math.prod(dims):
+        raise IndexBoundsError(f"linear index {k} out of range 1..{math.prod(dims)}")
     rem = k - 1
     subs = []
     for extent in dims:

@@ -3,10 +3,10 @@
 Every broadcasting operation (arithmetic, comparison, merge, mask algebra
 and apply_broadcast) goes through one path, _broadcast_apply: the result
 shape is folded over the operands by the singleton-expansion rule, and
-operands of lower rank are aligned by padding their views with singleton
-dimensions on the right (so a 1x3 row against an hxwx3 volume needs an
-explicit permute first, exactly like the source notation). A singleton
-dimension is repeated without materializing copies.
+operands of lower rank are aligned by core's _view_at_rank, the view padded
+with singleton dimensions on the right (so a 1x3 row against an hxwx3 volume
+needs an explicit permute first, exactly like the source notation). A
+singleton dimension is repeated without materializing copies.
 
 Reductions accumulate in ascending index order, deliberately: no pairwise or
 compensated summation, so a vectorized sum is bit-for-bit equal to the naive
@@ -26,8 +26,8 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    BoolMask, NumArray, _check_dim, _check_rank2, _choice, _number, broadcast_shapes,
-    wrap_ndarray,
+    BoolMask, NumArray, _check_dim, _check_rank2, _choice, _number, _view_at_rank,
+    broadcast_shapes, wrap_ndarray,
 )
 from .errors import ArgumentError
 
@@ -43,16 +43,16 @@ def _broadcast_apply(fn, *operands):
     """The one broadcasting path: fn over right-padded views of the operands.
 
     The result shape folds broadcast_shapes over the operands' dims; each
-    operand's view gets trailing singleton axes up to the common rank, so
-    numpy repeats extent-1 dimensions. wrap_ndarray turns a bool result into
-    a BoolMask, anything else into a NumArray.
+    operand's view is padded with trailing singleton axes up to the common
+    rank (core._view_at_rank), so numpy repeats extent-1 dimensions.
+    wrap_ndarray turns a bool result into a BoolMask, anything else into a
+    NumArray.
     """
     dims = operands[0].dims
     for x in operands[1:]:
         dims = broadcast_shapes(dims, x.dims)
     # operand dims are normalized, so no operand outranks the result
-    views = (x.view().reshape(x.dims + (1,) * (len(dims) - len(x.dims))) for x in operands)
-    return wrap_ndarray(fn(*views))
+    return wrap_ndarray(fn(*(_view_at_rank(x, len(dims)) for x in operands)))
 
 
 _BINARY = {
@@ -148,15 +148,13 @@ def reduce_along_dim(kind: str, a: NumArray, dim: int) -> NumArray:
 
     Accumulation is strictly ascending-index, never pairwise: a slab-bounded
     ascending scan (_ascending), bit for bit the sequential loop. Reducing
-    past the rank is the identity, since the implicit trailing dimension is a
-    singleton.
+    past the rank folds the implicit trailing singleton of core's padded view,
+    so it returns the input's values unchanged.
     """
     _choice(kind, ("sum", "prod", "mean"), "reduction")
     _check_dim(dim, "reduction", allowed=(1, 2, 3))
-    if dim > a.rank:
-        return NumArray(a.dims, a.buf.copy())
     ax = dim - 1
-    v = a.view()
+    v = _view_at_rank(a, max(a.rank, dim))
     n = v.shape[ax]
     if n == 0:  # an empty slice reduces to the identity: sum 0, prod 1, mean NaN
         fill = 0.0 if kind == "sum" else (1.0 if kind == "prod" else np.nan)

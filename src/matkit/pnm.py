@@ -8,17 +8,18 @@ h x w x 3 volumes, both column-major like everything else. The writer emits
 binary P5/P6 and a write-then-read round trip reproduces the pixels exactly;
 it refuses an image with no pixels, as the reader refuses a zero extent.
 
-The header is read one field at a time by a scanner. An ASCII (P2/P3)
-raster is decoded in vector notation: byte classes from lookup tables,
-comments masked, digit runs found as the edges of a digit mask, and their
-values formed by Horner's rule across token columns. It reports the same
-pixels, or the same error at the same byte offset, as reading sample after
-sample with the scanner would; the tests keep that per-sample loop as its
-oracle.
+The header is read one field at a time by a scanner, in _header, which
+makes every check that reads no sample. An ASCII (P2/P3) raster is decoded
+in vector notation: byte classes from lookup tables, comments masked, digit
+runs found as the edges of a digit mask, and their values formed by Horner's
+rule across token columns. It reports the same pixels, or the same error at
+the same byte offset, as reading sample after sample with the scanner would;
+the tests keep that loop as its oracle, which shares _header and nothing else.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,8 @@ class Image:
 
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+
+_MAXVAL = 255  # the one maxval the reader accepts and the writer declares
 
 # More significant digits than any width, height, maxval or sample a stream
 # can usefully hold (2**64 has 20); it keeps int() and error messages short.
@@ -103,7 +106,7 @@ _BYTE_CLASS[list(_WHITESPACE)] = _SPACE
 _BYTE_CLASS[list(b"0123456789")] = _DIGIT
 
 
-def _ascii_samples(data: bytes, start: int, count: int, maxval: int) -> np.ndarray:
+def _ascii_samples(data: bytes, start: int, count: int) -> np.ndarray:
     """The first `count` samples of the ASCII raster at data[start:], as
     float64, with the error the scanner would raise reading them in turn.
 
@@ -149,7 +152,7 @@ def _ascii_samples(data: bytes, start: int, count: int, maxval: int) -> np.ndarr
     # Horner's rule across the last `width` columns of each token; a digit
     # before `sig` (a leading zero, or a byte before the token) counts 0. A
     # value within maxval has no more significant digits than maxval.
-    width = len(str(maxval))
+    width = len(str(_MAXVAL))
     vals = np.zeros(k)
     col = ends - width
     for _ in range(width):
@@ -158,23 +161,23 @@ def _ascii_samples(data: bytes, start: int, count: int, maxval: int) -> np.ndarr
         vals *= 10
         vals += d
         col += 1
-    bad = vals > maxval
+    bad = vals > _MAXVAL
     bad |= ends - sig > width
     if bad.any():
         j = int(bad.argmax())
         at = start + (int(ends[j - 1]) if j else 0)
         v = _field(data[start + starts[j]:start + ends[j]], "sample", at)
-        raise PnmFormatError(f"sample {v} exceeds maxval {maxval}", at)
+        raise PnmFormatError(f"sample {v} exceeds maxval {_MAXVAL}", at)
     if k < count:
         raise PnmFormatError("expected sample", start + first_stray)
     return vals
 
 
-def decode_pnm(data: bytes) -> Image:
-    """Decode a PNM byte stream; raises PnmFormatError with a byte offset."""
+def _header(data: bytes):
+    """(pixel dims, raster offset) of a PNM stream, after every check that reads
+    no sample: magic, fields, size, maxval, truncation, P5/P6's separator byte."""
     if len(data) < 2 or data[0:1] != b"P" or data[1:2] not in b"2356":
         raise PnmFormatError("not a P2/P3/P5/P6 stream", 0)
-    kind = data[:2].decode("ascii")
     sc = _Scanner(data)
     sc.pos = 2
     width = sc.next_int("width")
@@ -183,12 +186,11 @@ def decode_pnm(data: bytes) -> Image:
         raise PnmFormatError(f"bad raster size {width}x{height}", sc.pos)
     maxval_at = sc.pos
     maxval = sc.next_int("maxval")
-    if maxval != 255:
-        raise PnmFormatError(f"unsupported maxval {maxval} (only 255)", maxval_at)
-    channels = 3 if kind in ("P3", "P6") else 1
-    count = width * height * channels
-
-    if kind in ("P5", "P6"):
+    if maxval != _MAXVAL:
+        raise PnmFormatError(f"unsupported maxval {maxval} (only {_MAXVAL})", maxval_at)
+    dims = (height, width, 3) if data[1:2] in b"36" else (height, width)
+    count = math.prod(dims)
+    if data[1:2] in b"56":
         if sc.pos >= len(data) or data[sc.pos] not in _WHITESPACE:
             raise PnmFormatError("expected one whitespace byte after maxval", sc.pos)
         sc.pos += 1  # exactly one whitespace byte, then the raster
@@ -197,23 +199,24 @@ def decode_pnm(data: bytes) -> Image:
                 f"truncated raster: need {count} bytes, have {len(data) - sc.pos}",
                 len(data),
             )
-        flat = np.frombuffer(data, dtype=np.uint8, count=count, offset=sc.pos)
-        flat = flat.astype(np.float64)
-    else:
-        # each sample needs at least one separator byte and one digit
-        if 2 * count > len(data) - sc.pos:
-            raise PnmFormatError(
-                f"truncated: {count} samples need at least {2 * count} bytes, "
-                f"have {len(data) - sc.pos}",
-                len(data),
-            )
-        flat = _ascii_samples(data, sc.pos, count, maxval)
+    elif 2 * count > len(data) - sc.pos:  # a sample needs a separator byte and a digit
+        raise PnmFormatError(
+            f"truncated: {count} samples need at least {2 * count} bytes, "
+            f"have {len(data) - sc.pos}",
+            len(data),
+        )
+    return dims, sc.pos
 
-    if channels == 1:
-        arr = flat.reshape(height, width)
+
+def decode_pnm(data: bytes) -> Image:
+    """Decode a PNM byte stream; raises PnmFormatError with a byte offset."""
+    dims, start = _header(data)
+    count = math.prod(dims)
+    if data[1:2] in b"56":
+        flat = np.frombuffer(data, dtype=np.uint8, count=count, offset=start).astype(np.float64)
     else:
-        arr = flat.reshape(height, width, 3)
-    return Image(pixels=wrap_ndarray(arr))
+        flat = _ascii_samples(data, start, count)
+    return Image(pixels=wrap_ndarray(flat.reshape(dims)))
 
 
 def read_pnm(path) -> Image:
@@ -227,10 +230,10 @@ def encode_pnm(img: Image) -> bytes:
     v = img.pixels.view()
     if v.size == 0:
         raise ArgumentError(f"cannot encode an image with no pixels, got {img.pixels.dims}")
-    if not np.all((v >= 0) & (v <= 255) & (v == np.floor(v))):
-        raise ArgumentError("image pixels must be integral values in [0, 255]")
+    if not np.all((v >= 0) & (v <= _MAXVAL) & (v == np.floor(v))):
+        raise ArgumentError(f"image pixels must be integral values in [0, {_MAXVAL}]")
     kind = b"P6" if img.channels == 3 else b"P5"
-    header = kind + b"\n%d %d\n255\n" % (img.width, img.height)
+    header = kind + b"\n%d %d\n%d\n" % (img.width, img.height, _MAXVAL)
     payload = np.ascontiguousarray(v).astype(np.uint8).tobytes()
     return header + payload
 

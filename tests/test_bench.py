@@ -69,6 +69,18 @@ def test_randint_rejects_spread_beyond_float64_integers():
     assert np.all(r.buf == np.floor(r.buf)) and r.buf.max() < 2.0**53
 
 
+def test_randint_bounds_must_be_doubles():
+    # past 2**53 not every integer is a double, so adding float(lo) back
+    # rounded the draws: randint(2**53, 2**53 + 3) gave 2**53 + 4, and
+    # randint(2**60, 2**60 + 10) gave 2**60 for every draw
+    for lo, hi in ((2**53, 2**53 + 3), (2**60, 2**60 + 10), (-2**53 - 1, -2**53 + 5)):
+        with pytest.raises(ArgumentError, match="2\\*\\*53"):
+            Prng(1).randint(lo, hi, (1, 8))
+    for lo, hi in ((2**53 - 7, 2**53), (-2**53, -2**53 + 7)):
+        r = Prng(1).randint(lo, hi, (1, 200))
+        assert sorted({int(v) for v in r.buf}) == list(range(lo, hi + 1))
+
+
 def test_randint_bounds_must_be_integers():
     # int(lo) set the spread but float(lo) was added back, so randint(1.5, 3)
     # drew 1.5, 2.5 and 3.5; a string lo leaked a raw TypeError

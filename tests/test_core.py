@@ -167,6 +167,19 @@ def test_only_core_knows_the_column_major_layout():
     assert offenders == []
 
 
+def test_only_core_pads_trailing_singletons():
+    # every dimension past an array's rank is an implicit singleton; the view
+    # padded with them is core._view_at_rank, and no other module builds one
+    src = Path(matkit.__file__).parent
+    padding = re.compile(r"\(1,\)\s*\*")
+    offenders = [
+        f"{p.name}:{k}"
+        for p in sorted(src.glob("*.py")) if p.name != "core.py"
+        for k, line in enumerate(p.read_text().splitlines(), 1) if padding.search(line)
+    ]
+    assert offenders == []
+
+
 def test_only_core_decides_the_argument_rules():
     # "is this a number?" and "numpy cannot allocate this" are core's
     # decisions; other modules go through _is_int/_is_number/_number/_integral
@@ -351,6 +364,26 @@ def test_permute_rejects_bad_order():
         permute(a, (1, 1))
     with pytest.raises(ArgumentError):
         permute(a, (2,))
+
+
+def test_rank_above_numpys_limit_is_refused():
+    # such an array was built, and then its first view raised numpy's raw
+    # "maximum supported dimension" ValueError; permute and ipermute raised it
+    # for an order that long
+    limit = matkit.core._MAX_RANK
+    for dims in ((1,) * (limit + 5) + (2,), (0,) * (limit + 1)):
+        with pytest.raises(ShapeError, match="rank limit"):
+            zeros(dims)
+        with pytest.raises(ShapeError, match="rank limit"):
+            NumArray(dims, np.zeros(math.prod(dims)))
+    for f in (permute, ipermute):
+        with pytest.raises(ArgumentError, match="rank limit"):
+            f(magic(4), tuple(range(1, limit + 6)))
+    # the limit itself works, and so do trailing singletons past it, which trim
+    a = zeros((1,) * (limit - 1) + (2,))
+    assert (a + 1).numel == 2 and a.rank == limit
+    assert permute(magic(4), tuple(range(1, limit + 1))).dims == (4, 4)
+    assert zeros((3, 4) + (1,) * (limit + 5)).dims == (3, 4)
 
 
 def test_permute_round_trip_randomized():

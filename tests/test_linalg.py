@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matkit import (
     ArgumentError,
     ConvergenceError,
     EigResult,
+    NumArray,
     ShapeError,
     SingularMatrixError,
     dctmtx,
@@ -71,6 +73,55 @@ def test_matmul_keeps_the_sign_of_a_zero_sum_as_dot_does():
     assert _bits(matmul(from_rows([[-1.0]]), from_rows([[0.0]])).buf) == _bits([-0.0])
     # an empty inner dimension still sums to +0.0
     assert _bits(matmul(zeros((2, 0)), zeros((0, 3))).buf) == _bits(np.zeros(6))
+
+
+def _loop_matmul(a, b) -> np.ndarray:
+    """The oracle: each entry a scalar loop in ascending k that starts from the
+    k = 1 product; an empty inner extent gives +0.0."""
+    (m, k), n = a.dims, b.cols
+    va, vb = a.view().tolist(), b.view().tolist()
+    out = np.zeros((m, n))
+    for i in range(m):
+        for j in range(n):
+            if k:
+                acc = va[i][0] * vb[0][j]
+                for t in range(1, k):
+                    acc = acc + va[i][t] * vb[t][j]
+                out[i, j] = acc
+    return out
+
+
+_MATMUL_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan,
+                    1e308, -1e308, 1.7e308, -1.7e308, 1e-308, -1e-308, 2.2e-308, 5e-324]
+
+
+def _matmul_operand(data, r, c) -> NumArray:
+    """r x c plain decimals, whose sums round, so a change of order shows; some
+    entries are then overwritten with ±0, ±inf, NaN or values near 1e±308."""
+    decimals = st.integers(-10**6, 10**6).map(lambda i: i / 100)
+    vals = data.draw(st.lists(decimals, min_size=r * c, max_size=r * c))
+    if vals:
+        at = st.integers(0, len(vals) - 1)
+        for k, v in data.draw(st.lists(st.tuples(at, st.sampled_from(_MATMUL_SPECIALS)))):
+            vals[k] = v
+    return NumArray((r, c), vals)
+
+
+@pytest.mark.parametrize("shape", [
+    st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
+    st.just((8, 8, 8)),
+    st.tuples(st.just(1), st.integers(0, 64), st.just(1)),
+], ids=["mkn", "8x8", "1xk"])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_matmul_matches_the_ascending_triple_loop_bit_for_bit(shape, data):
+    m, k, n = data.draw(shape)
+    a, b = _matmul_operand(data, m, k), _matmul_operand(data, k, n)
+    got, want = matmul(a, b), _loop_matmul(a, b)
+    assert got.dims == (m, n)
+    nan = np.isnan(got.view())
+    assert np.array_equal(nan, np.isnan(want))  # NaN matches NaN, whatever its bits
+    assert _bits(got.view()[~nan]) == _bits(want[~nan])
 
 
 def test_products_give_ieee_results_without_warnings():

@@ -9,32 +9,20 @@ from hypothesis import given, settings, strategies as st
 
 from matkit import ArgumentError, Image, Prng, PnmFormatError, decode_pnm, encode_pnm, read_pnm, write_pnm
 from matkit.core import full, wrap_ndarray
-from matkit.pnm import _Scanner
+from matkit.pnm import _MAXVAL, _Scanner, _header
 
 
 def _loop_decode_pnm(data: bytes) -> Image:
-    """The P2/P3 decoder as a scalar loop: the header, then one sample after
-    another through the header scanner. It is the oracle of decode_pnm's
-    vectorized raster, which must give the same pixels or the same error."""
+    """The P2/P3 decoder as a scalar loop: decode_pnm's own _header, then one
+    sample after another through the header scanner. It is the oracle of
+    decode_pnm's vectorized raster, which must give the same pixels or the
+    same error."""
     assert data[:2] in (b"P2", b"P3")
+    shape, start = _header(data)
     sc = _Scanner(data)
-    sc.pos = 2
-    width = sc.next_int("width")
-    height = sc.next_int("height")
-    if width < 1 or height < 1:
-        raise PnmFormatError(f"bad raster size {width}x{height}", sc.pos)
-    maxval_at = sc.pos
-    maxval = sc.next_int("maxval")
-    if maxval != 255:
-        raise PnmFormatError(f"unsupported maxval {maxval} (only 255)", maxval_at)
-    shape = (height, width, 3) if data[:2] == b"P3" else (height, width)
+    sc.pos = start
+    maxval = _MAXVAL
     count = math.prod(shape)
-    if 2 * count > len(data) - sc.pos:
-        raise PnmFormatError(
-            f"truncated: {count} samples need at least {2 * count} bytes, "
-            f"have {len(data) - sc.pos}",
-            len(data),
-        )
     vals = np.empty(count)
     for k in range(count):
         at = sc.pos
