@@ -497,6 +497,17 @@ def reshape(a: NumArray, dims) -> NumArray:
     return NumArray(dims, a.buf)
 
 
+def _permutation(a: NumArray, order) -> tuple:
+    """order as 1-based ints, checked to permute 1..k for some k >= a's rank."""
+    order = tuple(_integral(o, "permute order entry") for o in order)
+    k = len(order)
+    if k < a.rank or sorted(order) != list(range(1, k + 1)):
+        raise ArgumentError(f"order {order} is not a permutation of 1..rank for {a.dims}")
+    if k > _MAX_RANK:
+        raise ArgumentError(f"permute order of length {k} exceeds numpy's rank limit {_MAX_RANK}")
+    return order
+
+
 def permute(a: NumArray, order) -> NumArray:
     """Reorder dimensions: result dim t is a's dim order[t] (1-based).
 
@@ -504,24 +515,14 @@ def permute(a: NumArray, order) -> NumArray:
     dimensions beyond a's rank, so permute of a 1x3 row by (1, 3, 2) is the
     1x1x3 depth vector.
     """
-    order = tuple(_integral(o, "permute order entry") for o in order)
-    k = len(order)
-    if k < a.rank or sorted(order) != list(range(1, k + 1)):
-        raise ArgumentError(f"order {order} is not a permutation of 1..rank for {a.dims}")
-    if k > _MAX_RANK:
-        raise ArgumentError(f"permute order of length {k} exceeds numpy's rank limit {_MAX_RANK}")
-    return wrap_ndarray(np.transpose(_view_at_rank(a, k), axes=[o - 1 for o in order]))
+    order = _permutation(a, order)
+    return wrap_ndarray(np.transpose(_view_at_rank(a, len(order)), axes=[o - 1 for o in order]))
 
 
 def ipermute(a: NumArray, order) -> NumArray:
     """Inverse of permute with the same order: ipermute(permute(A, p), p) == A."""
-    order = tuple(_integral(o, "permute order entry") for o in order)
-    inverse = [0] * len(order)
-    for pos, o in enumerate(order):
-        if not 1 <= o <= len(order):
-            raise ArgumentError(f"order {order} is not a permutation")
-        inverse[o - 1] = pos + 1
-    return permute(a, inverse)
+    order = _permutation(a, order)
+    return wrap_ndarray(np.transpose(_view_at_rank(a, len(order)), axes=np.argsort(order)))
 
 
 def flipud(a: NumArray) -> NumArray:

@@ -10,13 +10,15 @@ singleton dimension is repeated without materializing copies.
 
 Reductions accumulate in ascending index order, deliberately: no pairwise or
 compensated summation, so a vectorized sum is bit-for-bit equal to the naive
-sequential loop over the same data. One helper, _ascending, does every such
-fold (reduce_along_dim here, linalg.dot too): it indexes the reduced axis in
-place, walks it in slabs of at most _SLAB elements and scans each slab from
-the running partial result, so no scan as large as the input is ever built.
-When one slice fills a slab, the fold starts from a copy of the first slice
-and adds each later slice in place. Elementwise maps may be parallelized
-freely by the backend; reductions stay sequential per slice.
+sequential loop over the same data. One helper, _ascending, folds every
+reduction (reduce_along_dim here, linalg.dot too): it indexes the reduced
+axis in place, walks it in slabs of at most _SLAB elements and scans each
+slab from the running partial result, so no scan as large as the input is
+ever built. When one slice fills a slab, the fold starts from a copy of the
+first slice and takes one in-place step per later slice (_fold_into), the
+step linalg.matmul folds its slabs of outer products with. Elementwise maps
+may be parallelized freely by the backend; reductions stay sequential per
+slice.
 """
 
 from __future__ import annotations
@@ -109,6 +111,13 @@ def ew_unary(op: str, a: NumArray) -> NumArray:
 _SLAB = 1 << 14
 
 
+def _fold_into(ufunc, acc: np.ndarray, slices) -> np.ndarray:
+    """acc folded with each of slices in turn, in place: acc = ufunc(acc, s)."""
+    for s in slices:
+        ufunc(acc, s, acc)  # out given by position: no keyword parsing per step
+    return acc
+
+
 def _ascending(ufunc, v: np.ndarray, ax: int) -> np.ndarray:
     """ufunc folded along axis ax in ascending index order; ax is kept, extent 1.
 
@@ -119,7 +128,8 @@ def _ascending(ufunc, v: np.ndarray, ax: int) -> np.ndarray:
     from the running partial result, carried as the left operand (acc + v[k],
     the sequential order). When one slice alone fills a slab (rows == 1), the
     fold starts from a copy of the first slice and each step is a single
-    in-place ufunc(acc, v[k]). v must have a nonzero extent along ax.
+    in-place ufunc(acc, v[k]) (_fold_into). v must have a nonzero extent along
+    ax.
     """
     pre = (slice(None),) * ax
     last = pre + (slice(-1, None),)
@@ -131,10 +141,7 @@ def _ascending(ufunc, v: np.ndarray, ax: int) -> np.ndarray:
 
     with np.errstate(all="ignore"):  # inf - inf is NaN and overflow is inf, as IEEE-754 says
         if rows == 1:
-            acc = part(0).copy(order="K")
-            for k in range(1, n):
-                ufunc(acc, part(k), out=acc)
-            return acc
+            return _fold_into(ufunc, part(0).copy(order="K"), map(part, range(1, n)))
         acc = ufunc.accumulate(part(0, rows), axis=ax)[last]  # the first slab needs no carry
         for k in range(rows, n, rows):
             scan = np.concatenate((acc, part(k, rows)), axis=ax)

@@ -366,6 +366,13 @@ def test_permute_rejects_bad_order():
         permute(a, (2,))
 
 
+def test_ipermute_names_the_order_it_was_given():
+    # a repeated entry left a 0 in the inverse, and the error named that inverse
+    for order in ((1, 1), (2, 2, 1), (0, 1), (3, 1)):
+        with pytest.raises(ArgumentError, match=re.escape(f"order {order} is not a permutation")):
+            ipermute(magic(4), order)
+
+
 def test_rank_above_numpys_limit_is_refused():
     # such an array was built, and then its first view raised numpy's raw
     # "maximum supported dimension" ValueError; permute and ipermute raised it

@@ -25,6 +25,8 @@ from matkit import (
     spdiags_extract,
     zeros,
 )
+from matkit import ops
+from matkit.bench import Prng
 from matkit.core import wrap_ndarray
 from matkit.linalg import _round_robin
 
@@ -122,6 +124,64 @@ def test_matmul_matches_the_ascending_triple_loop_bit_for_bit(shape, data):
     nan = np.isnan(got.view())
     assert np.array_equal(nan, np.isnan(want))  # NaN matches NaN, whatever its bits
     assert _bits(got.view()[~nan]) == _bits(want[~nan])
+
+
+def _assert_loop_bits(got: NumArray, want: np.ndarray):
+    """uint64 bits equal everywhere, except that any NaN matches any NaN."""
+    assert got.dims == want.shape
+    nan = np.isnan(got.view())
+    assert np.array_equal(nan, np.isnan(want))
+    assert _bits(got.view()[~nan]) == _bits(want[~nan])
+
+
+def _slab_operand(data, r, c) -> NumArray:
+    """r x c plain decimals with at most two entries overwritten by ±0, ±inf
+    or NaN, so that most products still have finite, rounding entries."""
+    vals = data.draw(st.lists(st.integers(-10**6, 10**6).map(lambda i: i / 100),
+                              min_size=r * c, max_size=r * c))
+    specials = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+    for at, v in data.draw(st.lists(st.tuples(st.integers(0, r * c - 1), specials), max_size=2)):
+        vals[at] = v
+    return NumArray((r, c), vals)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_matmul_matches_the_loop_across_slab_boundaries(data):
+    # small slabs: with r = max(1, _SLAB // (m*n)) k-slices per slab, short
+    # inner extents end on a partial slab, or take one k-slice per slab
+    m, k, n = data.draw(st.tuples(st.integers(1, 3), st.integers(1, 24), st.integers(1, 3)))
+    a, b = _slab_operand(data, m, k), _slab_operand(data, k, n)
+    slab = data.draw(st.sampled_from([1, 2, 3, 5, 8, ops._SLAB]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ops, "_SLAB", slab)
+        got = matmul(a, b)
+    _assert_loop_bits(got, _loop_matmul(a, b))
+
+
+@pytest.mark.parametrize("m, k, n", [(8, 300, 8), (2, 20000, 2), (3, 9000, 2), (130, 3, 130)])
+def test_matmul_across_real_slab_boundaries(m, k, n):
+    # slabs of 256 k-slices, the second partial; four of 2**12 and a partial
+    # fifth; three of 2730 and a partial fourth; one k-slice per slab
+    a = Prng(29).normal((m, k))
+    b = Prng(31).normal((k, n))
+    # ±0, ±inf and NaN only in a's last row and b's last column, so the other
+    # entries stay finite sums whose rounding shows the order
+    a.buf[m - 1] = -0.0  # the k = 1 slice
+    a.buf[m * (k // 2) + m - 1] = math.nan
+    b.buf[-2:] = [-math.inf, math.inf]  # the last two k-slices
+    _assert_loop_bits(matmul(a, b), _loop_matmul(a, b))
+
+
+def test_matmul_with_an_empty_result_never_folds(monkeypatch):
+    # 0 x 3 and 3 x 0 results walked all 10**5 k-slices, at about 2.5 us each
+    def boom(*args):
+        raise AssertionError("the fold ran for an empty result")
+
+    monkeypatch.setattr(ops, "_fold_into", boom)
+    for (m, n) in ((0, 3), (3, 0), (0, 0)):
+        out = matmul(zeros((m, 10**5)), zeros((10**5, n)))
+        assert out.dims == (m, n) and out.numel == 0
 
 
 def test_products_give_ieee_results_without_warnings():
