@@ -268,11 +268,14 @@ def rgb2gray_loop(img: NumArray) -> NumArray:
 def blockproc(a: NumArray, block_shape, f: Callable[[NumArray], NumArray]) -> NumArray:
     """Apply f to each non-overlapping r x c tile and reassemble.
 
-    The input is zero-padded on the bottom/right to whole tiles, so the
-    output size is the padded size. f must map r x c to r x c.
+    block_shape is a tuple or list of two extents. The input is zero-padded
+    on the bottom/right to whole tiles, so the output size is the padded
+    size. f must map r x c to r x c.
     """
     _check_rank2(a, "blockproc")
-    r, c = _positive(block_shape[0], "block extent"), _positive(block_shape[1], "block extent")
+    if not (isinstance(block_shape, (tuple, list)) and len(block_shape) == 2):
+        raise ArgumentError(f"blockproc block shape {block_shape!r} is not a pair of extents")
+    r, c = (_positive(x, "block extent") for x in block_shape)
     m, n = a.dims
     mm = ((m + r - 1) // r) * r
     nn = ((n + c - 1) // c) * c

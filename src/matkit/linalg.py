@@ -3,10 +3,11 @@ and diagonal extraction.
 
 The product accumulates in ascending inner-index order so that each entry is
 bit-for-bit identical to the sequential scalar loop over the same data. matmul
-forms the outer products of a slab of inner indices in one broadcast multiply
-and folds them in one in-place add per index (ops._fold_into); dot stays on
-ops._ascending, whose scan takes one Python step per slab rather than per
-index.
+forms the outer products of a slab of inner indices in broadcast multiplies.
+It folds the first slab in one np.add.reduce from -0.0, which numpy sums one
+slab row at a time, and each later slab in one in-place add per index
+(ops._fold_into). dot, and a 1 x k by k x 1 product, stay on ops._ascending,
+whose scan takes one Python step per slab rather than per index.
 
 The eigensolver is a Jacobi iteration in Brent-Luk round-robin order: each
 round rotates a set of disjoint index pairs in one vectorized update. It only
@@ -16,6 +17,7 @@ need, and it hands back orthonormal vectors by construction.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -38,22 +40,30 @@ def _line_aligned(shape) -> np.ndarray:
     """
     size = math.prod(shape)
     raw = np.empty(size + 7)
-    skip = -raw.ctypes.data % 64 // 8
+    # raw.ctypes.data builds a helper object per call: about 3x as slow
+    skip = -ctypes.addressof(ctypes.c_char.from_buffer(raw)) % 64 // 8
     return raw[skip:skip + size].reshape(shape)
 
 
 def matmul(a: NumArray, b: NumArray) -> NumArray:
     """Standard matrix product; inner accumulation in ascending-k order.
 
-    The fold starts from the k = 1 product, which becomes the accumulator, as
-    dot's does: from +0.0 it would turn a -0.0 sum into +0.0. The later
-    k-slices come in slabs of r = max(1, ops._SLAB // (m*n)): one broadcast
-    multiply forms a slab's r outer products, and the fold adds them one
-    in-place step per k. Once m*n exceeds ops._SLAB // 2, a slab is one
-    k-slice. Each product is row-major m x n, as np.outer lays it out, so
-    each entry meets the same lane of numpy's vector loops: an n x m slab was
-    faster on square shapes but moved entries into a loop tail, which returns
-    the other operand when two NaNs meet.
+    The k-slices come in slabs of r = max(1, ops._SLAB // (m*n)); once m*n
+    exceeds ops._SLAB // 2, a slab is one k-slice. Each entry's sum starts
+    from its k = 1 product, as dot's does: from +0.0 it would turn a -0.0 sum
+    into +0.0. The first slab is folded by one np.add.reduce along its
+    leading axis from -0.0, the exact identity of +, and numpy sums such a
+    strided axis one row at a time, so each lane is the ascending fold. A
+    first slab of one product is the accumulator itself. Each later slab is
+    formed by one broadcast multiply and added one in-place step per k.
+
+    A 1 x 1 result is summed as dot sums it (ops._ascending), since numpy's
+    reduce would sum its one lane pairwise. Each product is row-major m x n, as np.outer
+    lays it out, so each entry meets the same lane of numpy's vector loops:
+    an n x m slab was faster on square shapes but moved entries into a loop
+    tail, which returns the other operand when two NaNs meet. The k = 1
+    product has its own 2-D multiply whatever the slab size, since numpy's
+    2-D and 3-D broadcast loops can return different operands there too.
     """
     _check_rank2(a, "matmul")
     _check_rank2(b, "matmul")
@@ -62,12 +72,21 @@ def matmul(a: NumArray, b: NumArray) -> NumArray:
     (m, k), n = a.dims, b.cols
     if k == 0 or m * n == 0:  # an empty sum is +0.0, and an empty result walks no k
         return wrap_ndarray(np.zeros((m, n)))
+    if m * n == 1:  # one lane, which numpy's reduce would sum pairwise: dot's scan
+        with np.errstate(all="ignore"):  # an overflowing product is inf
+            return wrap_ndarray(ops._ascending(np.add, a.buf * b.buf, 0).reshape(1, 1))
     at, vb = a.view().T, np.ascontiguousarray(b.view())  # rows of both contiguous
     r = max(1, ops._SLAB // (m * n))
-    slab = _line_aligned((min(r, k - 1), m, n))  # slab[t, i, j] = a[i, k0+t] * b[k0+t, j]
     with np.errstate(all="ignore"):  # inf - inf is NaN and overflow is inf, as IEEE-754 says
-        acc = np.multiply(at[0, :, None], vb[0, None, :])
-        for k0 in range(1, k, r):
+        if min(r, k) == 1:  # a first slab of one product is the accumulator
+            acc = np.multiply(at[0, :, None], vb[0, None, :])
+            slab = _line_aligned((min(r, k - 1), m, n))
+        else:  # the k = 1 product by the same 2-D multiply: see the docstring
+            slab = _line_aligned((min(r, k), m, n))
+            np.multiply(at[0, :, None], vb[0, None, :], out=slab[0])
+            np.multiply(at[1:r, :, None], vb[1:r, None, :], out=slab[1:])
+            acc = np.add.reduce(slab, axis=0, initial=-0.0)
+        for k0 in range(r, k, r):  # slab[t, i, j] = a[i, k0+t] * b[k0+t, j]
             s = slab[:k - k0]
             np.multiply(at[k0:k0 + r, :, None], vb[k0:k0 + r, None, :], out=s)
             ops._fold_into(np.add, acc, s)
@@ -263,11 +282,11 @@ def spdiags_extract(a: NumArray) -> DiagBand:
     v = a.view()
     rows = min(m, n)
     offsets = tuple(range(-(m - 1), n))
-    bands = np.zeros((rows, len(offsets)))
+    bands = np.zeros((len(offsets), rows))  # one row per diagonal: bands.T wraps without a copy
     for k, d in enumerate(offsets):
         diag = np.diagonal(v, offset=d)
         if d >= 0:
-            bands[: diag.size, k] = diag
+            bands[k, : diag.size] = diag
         else:
-            bands[rows - diag.size:, k] = diag
-    return DiagBand(bands=wrap_ndarray(bands), offsets=offsets)
+            bands[k, rows - diag.size:] = diag
+    return DiagBand(bands=wrap_ndarray(bands.T), offsets=offsets)

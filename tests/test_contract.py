@@ -154,6 +154,10 @@ ROWS = {
     "dctmtx": lambda d: mk.dctmtx(d(value)),
     "eig_sym": _eig_sym,
     "blockproc": lambda d: mk.blockproc(d(arrays()), (d(value), d(value)), lambda t: t),
+    "blockproc/1-tuple": lambda d: mk.blockproc(d(arrays()), (d(value),), lambda t: t),
+    "blockproc/3-tuple": lambda d: mk.blockproc(
+        d(arrays()), (d(value), d(value), d(value)), lambda t: t
+    ),
     "encode_pnm": lambda d: mk.encode_pnm(mk.Image(pixels=d(arrays()))),
     "decode_pnm": _decode_pnm,
     "Prng": lambda d: mk.Prng(d(value)).uniform((1, 2)),

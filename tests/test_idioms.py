@@ -1,6 +1,7 @@
 """Case studies: scans, PCA, distances, nearest neighbor, grayscale, block DCT."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -357,6 +358,14 @@ def test_blockproc_block_extents_must_be_integers():
         with pytest.raises(ArgumentError, match="not an integer"):
             blockproc(magic(4), shape, lambda blk: blk)
     assert max_abs_diff(blockproc(magic(4), (2.0, 4.0), lambda blk: blk), magic(4)) == 0.0
+
+
+def test_blockproc_block_shape_must_be_a_pair():
+    # (8,) leaked an IndexError, 8 a TypeError, and (4, 4, 4) tiled 4 x 4
+    for shape in ((8,), 8, (4, 4, 4), [2, 2, 2], ()):
+        with pytest.raises(ArgumentError, match=re.escape(f"block shape {shape!r} is not a pair")):
+            blockproc(magic(4), shape, lambda blk: blk)
+    assert max_abs_diff(blockproc(magic(4), [2, 4], lambda blk: blk), magic(4)) == 0.0
 
 
 def test_blockproc_refuses_padding_it_cannot_allocate():

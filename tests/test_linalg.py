@@ -13,10 +13,12 @@ from matkit import (
     NumArray,
     ShapeError,
     SingularMatrixError,
+    dct2d,
     dctmtx,
     dot,
     eig_sym,
     from_rows,
+    idct2d,
     magic,
     matmul,
     mldivide,
@@ -73,6 +75,9 @@ def test_matmul_keeps_the_sign_of_a_zero_sum_as_dot_does():
         a, b = from_rows(a), from_rows(b)
         assert _bits(matmul(a, b).buf) == _bits([dot(a, b.T)])
     assert _bits(matmul(from_rows([[-1.0]]), from_rows([[0.0]])).buf) == _bits([-0.0])
+    # a lane of -0.0 products among others: a fold from +0.0 gives +0.0 there
+    got = matmul(from_rows([[-0.0, -0.0], [1.0, 2.0]]), from_rows([[1.0, 2.0], [1.0, 2.0]]))
+    assert _bits(got.view()) == _bits([[-0.0, -0.0], [3.0, 6.0]])
     # an empty inner dimension still sums to +0.0
     assert _bits(matmul(zeros((2, 0)), zeros((0, 3))).buf) == _bits(np.zeros(6))
 
@@ -182,6 +187,73 @@ def test_matmul_with_an_empty_result_never_folds(monkeypatch):
     for (m, n) in ((0, 3), (3, 0), (0, 0)):
         out = matmul(zeros((m, 10**5)), zeros((10**5, n)))
         assert out.dims == (m, n) and out.numel == 0
+
+
+def _nan(sign, payload):
+    return float(np.array([(sign << 63) | (0x7FF8 << 48) | payload], np.uint64).view(np.float64)[0])
+
+
+def test_numpys_reduce_from_minus_zero_is_the_in_place_fold():
+    # matmul folds its first slab with np.add.reduce(slab, axis=0,
+    # initial=-0.0); numpy sums a strided leading axis one row at a time, so
+    # each lane is the ascending fold from its first product. Without
+    # initial the reduce starts from +0.0, and a lane of -0.0 sums to +0.0.
+    specials = [0.0, -0.0, math.inf, -math.inf, _nan(0, 1), _nan(1, 5), _nan(0, 99), _nan(1, 1234)]
+    rng = np.random.default_rng(23)
+    lanes = [(1, 2), (2, 1), (3, 3), (8, 8), (5, 9), (1, 8191), (8193, 1), (64, 200)]
+    for trial in range(48):
+        m, n = lanes[trial % len(lanes)]
+        k = int(rng.integers(2, 9))
+        s = rng.integers(-10**6, 10**6, size=(k, m, n)) / 100
+        hit = rng.random(s.shape) < 0.05
+        s[hit] = rng.choice(specials, size=int(hit.sum()))
+        s[:, 0, 0] = -0.0  # a lane of -0.0 only
+        acc = s[0].copy()
+        with np.errstate(all="ignore"):
+            for t in range(1, k):
+                np.add(acc, s[t], acc)
+            got = np.add.reduce(s, axis=0, initial=-0.0)
+        assert np.array_equal(got.view(np.uint64), acc.view(np.uint64)), (k, m, n)
+
+
+def test_a_one_lane_product_is_a_dot_product(monkeypatch):
+    # numpy's reduce sums a single lane pairwise, so a 1 x k by k x 1 product
+    # goes through dot's ascending scan: one step per slab, never one per k
+    def boom(*args):
+        raise AssertionError("a one-lane product took the per-k fold")
+
+    monkeypatch.setattr(ops, "_fold_into", boom)
+    for k in (1, 2, 3, 10**5):
+        a, b = Prng(k).normal((1, k)), Prng(k + 1).normal((k, 1))
+        a.buf[k // 2] = -0.0
+        if k == 2:
+            a.buf[0] = math.nan
+        got = matmul(a, b)
+        assert _bits(got.buf) == _bits([dot(a, b)])
+        _assert_loop_bits(got, _loop_matmul(a, b))
+
+
+def test_a_product_of_one_k_slice_is_its_outer_product():
+    a = from_rows([[0.0], [-0.0], [math.nan], [2.5], [-math.inf]])
+    b = from_rows([[-0.0, 0.0, math.nan, 3.0, -1.5]])
+    _assert_loop_bits(matmul(a, b), _loop_matmul(a, b))
+
+
+@pytest.mark.parametrize("transform, inverse", [(dct2d, False), (idct2d, True)])
+def test_dct_sandwich_is_the_ascending_loop_bit_for_bit(transform, inverse):
+    # T X T' (T' Y T for the inverse) through two products, each the
+    # ascending triple loop; blocks of order 1..9 carry ±0, ±inf and NaN
+    rng = np.random.default_rng(17)
+    for order in range(1, 10):
+        t = dctmtx(order)
+        left, right = (t.T, t) if inverse else (t, t.T)
+        for _ in range(3):
+            x = rng.integers(-25500, 25500, size=(order, order)) / 100
+            hit = rng.random(x.shape) < 0.15
+            x[hit] = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan], size=int(hit.sum()))
+            block = wrap_ndarray(x)
+            want = _loop_matmul(wrap_ndarray(_loop_matmul(left, block)), right)
+            _assert_loop_bits(transform(block, t), want)
 
 
 def test_products_give_ieee_results_without_warnings():
@@ -509,6 +581,24 @@ def test_spdiags_row_vector():
     band = spdiags_extract(from_rows([[7, 8, 9]]))
     assert band.bands.dims == (1, 3)
     assert band.bands.view().tolist() == [[7, 8, 9]]
+
+
+def test_spdiags_places_each_diagonal_as_the_loop_does():
+    # square, tall and wide: offset d >= 0 from the top of its column, d < 0
+    # ending at the bottom, zeros elsewhere
+    rng = np.random.default_rng(47)
+    for m, n in ((4, 4), (7, 3), (3, 7), (1, 5), (5, 1), (9, 9)):
+        x = rng.standard_normal((m, n))
+        x[0, -1], x[-1, 0] = -0.0, math.nan
+        band = spdiags_extract(wrap_ndarray(x))
+        rows = min(m, n)
+        want = np.zeros((rows, m + n - 1))
+        for k, d in enumerate(range(-(m - 1), n)):
+            cells = [x[i, i + d] for i in range(m) if 0 <= i + d < n]
+            top = 0 if d >= 0 else rows - len(cells)
+            for t, v in enumerate(cells):
+                want[top + t, k] = v
+        assert _bits(band.bands.view()) == _bits(want)
 
 
 def test_spdiags_partitions_all_elements():
