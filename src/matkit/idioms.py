@@ -9,6 +9,14 @@ Scan results are 1 x numel row vectors listing the matrix elements in scan
 order; every scan is a permutation of its input. The scan loops flatten with
 the row count (j-1)*rows + i; writing the column count there would only be
 correct for square matrices.
+
+The metric handles are evaluated in blocks of the reference set's rows. The
+one-line broadcast body builds an n x d x m difference and its square, which
+for 2000 x 5 against 500 x 5 points is two 40 MB temporaries; applied to b
+rows of y at a time, each block's intermediates hold at most _METRIC_BLOCK
+doubles and stay in a core's cache. Every entry still comes from the same
+elementwise ops and the same ascending fold over the coordinates, so the
+blocks joined along columns are bit-identical to one whole-set evaluation.
 """
 
 from __future__ import annotations
@@ -182,29 +190,66 @@ def _check_point_sets(x: NumArray, y: NumArray):
         raise ShapeError(f"point sets disagree on dimension: {x.dims} vs {y.dims}")
 
 
-def metric_euclidean(x: NumArray, y: NumArray) -> NumArray:
-    """Root of summed squared differences; entry (i,j) pairs row i of x with row j of y."""
+# Cells of one block's n x d x b intermediates: 2**18 doubles are 2 MiB, the
+# L2 of one core of the 2-vCPU Xeon it was sized on (ROADMAP item 8: the sweep).
+_METRIC_BLOCK = 1 << 18
+
+
+def _in_row_blocks(body: MetricFn, x: NumArray, y: NumArray) -> NumArray:
+    """body(x, y), applied to blocks of b rows of y and joined along columns,
+    where b = max(1, _METRIC_BLOCK // x.numel); a y of at most b rows is
+    passed whole."""
     _check_point_sets(x, y)
-    diff = x - permute(y, (3, 2, 1))
-    return permute(ew_unary("sqrt", reduce_along_dim("sum", diff ** 2, 2)), (1, 3, 2))
+    b = max(1, _METRIC_BLOCK // max(1, x.numel))
+    m = y.rows
+    if m <= b:
+        return body(x, y)
+    return cat(2, [body(x, extract(y, IndexExpr.of(span(j0, min(j0 + b - 1, m)), ALL)))
+                   for j0 in range(1, m + 1, b)])
+
+
+def metric_euclidean(x: NumArray, y: NumArray) -> NumArray:
+    """Root of summed squared differences; entry (i,j) pairs row i of x with row j of y.
+
+    Evaluated in blocks of y's rows, so the n x d x b difference stays in cache.
+    """
+    def body(x, y):
+        diff = x - permute(y, (3, 2, 1))
+        return permute(ew_unary("sqrt", reduce_along_dim("sum", diff ** 2, 2)), (1, 3, 2))
+
+    return _in_row_blocks(body, x, y)
 
 
 def metric_manhattan(x: NumArray, y: NumArray) -> NumArray:
-    """Summed absolute differences; entry (i,j) pairs row i of x with row j of y."""
-    _check_point_sets(x, y)
-    diff = x - permute(y, (3, 2, 1))
-    return permute(reduce_along_dim("sum", ew_unary("abs", diff), 2), (1, 3, 2))
+    """Summed absolute differences; entry (i,j) pairs row i of x with row j of y.
+
+    Evaluated in blocks of y's rows, so the n x d x b difference stays in cache.
+    """
+    def body(x, y):
+        diff = x - permute(y, (3, 2, 1))
+        return permute(reduce_along_dim("sum", ew_unary("abs", diff), 2), (1, 3, 2))
+
+    return _in_row_blocks(body, x, y)
+
+
+def _returned(res, dims, who: str) -> NumArray:
+    """res, if a function handle returned a NumArray of dims; else ContractError."""
+    if not isinstance(res, NumArray) or res.dims != dims:
+        got = res.dims if isinstance(res, NumArray) else type(res).__name__
+        raise ContractError(f"{who} returned {got}, expected {dims}")
+    return res
 
 
 def nearest_neighbor(x: NumArray, y: NumArray, metric: MetricFn) -> Tuple[NumArray, NumArray]:
     """For each row of x, the index of the nearest row of y and that distance.
 
-    Ties go to the lowest index. Returns (idx, d) as nx1 columns.
+    Ties go to the lowest index. Returns (idx, d) as nx1 columns. metric
+    must map x and y to an x.rows x y.rows NumArray.
     """
     _check_rank2(y, "nearest_neighbor")
     if y.rows < 1:
         raise ArgumentError("nearest_neighbor needs a non-empty reference set")
-    dist = metric(x, y)
+    dist = _returned(metric(x, y), (x.rows, y.rows), "metric")
     values, indices = extremum("min", dist, 2)
     return indices, values
 
@@ -284,10 +329,7 @@ def blockproc(a: NumArray, block_shape, f: Callable[[NumArray], NumArray]) -> Nu
     for bi in range(mm // r):
         for bj in range(nn // c):
             tile = wrap_ndarray(padded[bi * r:(bi + 1) * r, bj * c:(bj + 1) * c])
-            res = f(tile)
-            if not isinstance(res, NumArray) or res.dims != tile.dims:
-                got = res.dims if isinstance(res, NumArray) else type(res).__name__
-                raise ContractError(f"block function returned {got}, expected {tile.dims}")
+            res = _returned(f(tile), tile.dims, "block function")
             out[bi * r:(bi + 1) * r, bj * c:(bj + 1) * c] = res.view()
     return wrap_ndarray(out)
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from matkit import (
     zeros,
     zigzag_scan,
 )
+from matkit import idioms
 from matkit.core import wrap_ndarray
 from matkit.linalg import dctmtx
 
@@ -253,6 +255,104 @@ def test_metric_dimension_mismatch():
         metric_euclidean(from_rows([[1, 2]]), from_rows([[1, 2, 3]]))
 
 
+def _loop_pair_sums(x: NumArray, y: NumArray, term, finish=lambda s: s) -> np.ndarray:
+    """x.rows x y.rows entries finish(sum of term(x(i,k) - y(j,k)) in ascending k)."""
+    (n, d), m = x.dims, y.rows
+    xb, yb = x.to_list(), y.to_list()
+    out = np.zeros((n, m))
+    for i in range(n):
+        for j in range(m):
+            s = 0.0  # terms are never -0.0, so 0.0 + t is t bit for bit
+            for k in range(d):
+                s += term(xb[k * n + i] - yb[k * m + j])
+            out[i, j] = finish(s)
+    return out
+
+
+def _loop_metric_euclidean(x: NumArray, y: NumArray) -> np.ndarray:
+    return _loop_pair_sums(x, y, lambda dk: dk * dk, math.sqrt)
+
+
+def _loop_metric_manhattan(x: NumArray, y: NumArray) -> np.ndarray:
+    return _loop_pair_sums(x, y, abs)
+
+
+_METRIC_TWINS = ((metric_euclidean, _loop_metric_euclidean), (metric_manhattan, _loop_metric_manhattan))
+
+
+def _assert_loop_bits(got: NumArray, want: np.ndarray):
+    """uint64 bits equal everywhere, except that any NaN matches any NaN."""
+    assert got.dims == want.shape
+    nan = np.isnan(got.view())
+    assert np.array_equal(nan, np.isnan(want))
+    assert got.view()[~nan].view(np.uint64).tolist() == want[~nan].view(np.uint64).tolist()
+
+
+def _metric_operand(data, r, c) -> NumArray:
+    """r x c plain decimals with at most three entries overwritten by ±0, ±inf or NaN."""
+    vals = data.draw(st.lists(st.integers(-10**6, 10**6).map(lambda i: i / 100),
+                              min_size=r * c, max_size=r * c))
+    specials = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+    for at, v in data.draw(st.lists(st.tuples(st.integers(0, max(0, r * c - 1)), specials),
+                                    max_size=3 if r * c else 0)):
+        vals[at] = v
+    return NumArray((r, c), vals)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_metrics_match_their_loops_across_blocks(data):
+    # blocks of 1, 2, 3 and 7 rows of y, and the real block, which holds all
+    # of these small sets; y's rows are often not a multiple of the block
+    n, m, d = data.draw(st.tuples(st.integers(0, 5), st.integers(0, 23), st.integers(0, 4)))
+    x, y = _metric_operand(data, n, d), _metric_operand(data, m, d)
+    rows = data.draw(st.sampled_from([1, 2, 3, 7, None]))
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        if rows is not None:
+            mp.setattr(idioms, "_METRIC_BLOCK", rows * max(1, x.numel))
+        for metric, loop in _METRIC_TWINS:
+            _assert_loop_bits(metric(x, y), loop(x, y))
+
+
+@pytest.mark.parametrize("n, m, d", [(3, 0, 2), (0, 9, 2), (4, 9, 0), (0, 0, 0), (4, 9, 3)])
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+def test_metrics_match_their_loops_on_empty_and_small_sets(n, m, d, rows):
+    x, y = Prng(40).normal((n, d)), Prng(41).normal((m, d))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(idioms, "_METRIC_BLOCK", rows * max(1, x.numel))
+        for metric, loop in _METRIC_TWINS:
+            _assert_loop_bits(metric(x, y), loop(x, y))
+
+
+def test_metrics_match_their_loops_across_real_blocks():
+    # 1100 x 24 points take blocks of 9 rows of y: two whole blocks and a
+    # partial third; ±0, ±inf and NaN sit in two rows of x and in rows 9,
+    # 10 and 20 of y, at the edges of the blocks
+    x, y = Prng(42).normal((1100, 24)), Prng(43).normal((20, 24))
+    assert idioms._METRIC_BLOCK // x.numel == 9
+    x.buf[[0, 1100, 2200, 3301, 4401]] = [-0.0, math.inf, math.nan, -math.inf, 0.0]
+    y.buf[[8, 20 + 9, 40 + 19, 60 + 19]] = [math.inf, -0.0, math.nan, math.inf]
+    with np.errstate(invalid="ignore"):
+        for metric, loop in _METRIC_TWINS:
+            _assert_loop_bits(metric(x, y), loop(x, y))
+
+
+def test_metric_builds_no_whole_set_difference():
+    # the one-line body built a 2000 x 5 x 500 difference and its square,
+    # 84 MiB at peak; now the peak is the block results and their join, plus
+    # a block's difference and its square
+    x, y = Prng(44).normal((2000, 5)), Prng(45).normal((500, 5))
+    out_bytes = 2000 * 500 * 8
+    for metric in (metric_euclidean, metric_manhattan):
+        tracemalloc.start()
+        try:
+            metric(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * out_bytes + 2 * idioms._METRIC_BLOCK * 8, metric.__name__
+
+
 # --- nearest neighbor ---
 
 def test_nearest_neighbor_reference():
@@ -280,6 +380,49 @@ def test_nearest_neighbor_matches_brute_force():
         dists = np.sqrt(((xv[i] - yv) ** 2).sum(axis=1))
         want = int(np.flatnonzero(dists == dists.min())[0]) + 1
         assert idx.buf[i] == want
+
+
+def test_nearest_neighbor_checks_the_metric_result():
+    # a 3x3 answer for 2 x 4 points gave a silent 3x1 result, and a list
+    # leaked an AttributeError
+    x, y = Prng(46).uniform((2, 3)), Prng(47).uniform((4, 3))
+    bad = {
+        "(3, 3)": lambda a, b: zeros((3, 3)),
+        "(4, 2)": lambda a, b: metric_euclidean(b, a),
+        "list": lambda a, b: metric_euclidean(a, b).to_list(),
+    }
+    for got, metric in bad.items():
+        with pytest.raises(ContractError, match=re.escape(f"metric returned {got}, expected (2, 4)")):
+            nearest_neighbor(x, y, metric)
+
+
+def _nn_blocks_of_two(x, y, metric=metric_euclidean):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(idioms, "_METRIC_BLOCK", 2 * x.numel)
+        return nearest_neighbor(x, y, metric)
+
+
+def test_nearest_neighbor_across_block_boundaries():
+    # blocks of two rows of y: (1, 2), (3, 4), (5, 6), (7)
+    y = from_rows([[9, 9], [5, 5], [8, 8], [1, 0], [0, 1], [7, 7], [0, -1]])
+    x = from_rows([[0, 0], [math.nan, 0], [6, 6]])
+    idx, d = _nn_blocks_of_two(x, y)
+    # (0, 0) ties at 1 in blocks 2, 3 and 4; (6, 6) ties at sqrt(2) in
+    # blocks 1 and 3; a NaN coordinate makes every distance NaN
+    assert idx.buf.tolist() == [4, 1, 2]
+    assert_exact(d, [[1], [math.nan], [math.sqrt(2)]])
+
+
+def test_nearest_neighbor_keeps_the_sign_of_the_first_zero():
+    # the same point as rows 1 and 3, in blocks 1 and 2; a row of signs
+    # turns the zero distance to one of them into -0.0
+    y = from_rows([[2, 3], [5, 5], [2, 3], [8, 8], [9, 9]])
+    x = from_rows([[2, 3]])
+    for j, want in ((1, -0.0), (3, 0.0)):
+        signs = from_rows([[-1.0 if i == j else 1.0 for i in range(1, 6)]])
+        idx, d = _nn_blocks_of_two(x, y, lambda a, b: metric_euclidean(a, b) * signs)
+        assert idx.item() == 1
+        assert d.item() == 0.0 and math.copysign(1.0, d.item()) == math.copysign(1.0, want)
 
 
 def test_nearest_neighbor_empty_reference():
