@@ -30,7 +30,7 @@ from .core import (
 )
 from .errors import ArgumentError, ContractError, ShapeError
 from .indexing import ALL, END, IndexExpr, assign_indexed, delete_elements, extract, isnan_mask, span
-from .linalg import EigResult, dctmtx, eig_sym, matmul, spdiags_extract
+from .linalg import EigResult, _product, dctmtx, eig_sym, matmul, spdiags_extract
 from .ops import compare, ew_unary, extremum, mask_or, merge, reduce_along_dim
 
 import numpy as np
@@ -335,14 +335,25 @@ def blockproc(a: NumArray, block_shape, f: Callable[[NumArray], NumArray]) -> Nu
 
 
 def _dct_sandwich(x: NumArray, t, who: str, inverse: bool) -> NumArray:
-    """T X T' (forward) or T' X T (inverse) for a square block x."""
+    """T X T' (forward) or T' X T (inverse) for a square block x.
+
+    Both products run on linalg._product, the fold under matmul, on plain
+    views: T' is t's transposed view rather than a permuted copy, and the
+    block is checked once and its result wrapped once. Each product is
+    matmul's sequence of IEEE operations on the same values, so the result is
+    bit for bit matmul(matmul(left, x), right).
+    """
     _check_square(x, who)
     if t is None:
         t = dctmtx(x.rows)
+    elif not isinstance(t, NumArray):
+        raise ArgumentError(f"{who} transform basis must be a NumArray, got {type(t).__name__}")
     elif t.dims != x.dims:
         raise ShapeError(f"block {x.dims} does not match transform order {t.dims}")
-    left, right = (t.T, t) if inverse else (t, t.T)
-    return matmul(matmul(left, x), right)
+    tv = t.view()
+    left, right = (tv.T, tv) if inverse else (tv, tv.T)
+    with np.errstate(all="ignore"):  # one for both products: see linalg._product
+        return wrap_ndarray(_product(_product(left, x.view()), right))
 
 
 def dct2d(x: NumArray, t: NumArray = None) -> NumArray:

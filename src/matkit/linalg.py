@@ -2,12 +2,15 @@
 and diagonal extraction.
 
 The product accumulates in ascending inner-index order so that each entry is
-bit-for-bit identical to the sequential scalar loop over the same data. matmul
-forms the outer products of a slab of inner indices in broadcast multiplies.
-It folds the first slab in one np.add.reduce from -0.0, which numpy sums one
-slab row at a time, and each later slab in one in-place add per index
-(ops._fold_into). dot, and a 1 x k by k x 1 product, stay on ops._ascending,
-whose scan takes one Python step per slab rather than per index.
+bit-for-bit identical to the sequential scalar loop over the same data.
+matmul only checks its operands and wraps the result: _product, on plain
+ndarrays, is the one fold, and idioms' block DCT calls it directly, so a
+sandwich T X T' checks and wraps once. _product forms the outer products of a
+slab of inner indices in broadcast multiplies. It folds the first slab in one
+np.add.reduce from -0.0, which numpy sums one slab row at a time, and each
+later slab in one in-place add per index (ops._fold_into). dot, and a
+1 x k by k x 1 product, stay on ops._ascending, whose scan takes one Python
+step per slab rather than per index.
 
 The eigensolver is a Jacobi iteration in Brent-Luk round-robin order: each
 round rotates a set of disjoint index pairs in one vectorized update. It only
@@ -48,6 +51,20 @@ def _line_aligned(shape) -> np.ndarray:
 def matmul(a: NumArray, b: NumArray) -> NumArray:
     """Standard matrix product; inner accumulation in ascending-k order.
 
+    matmul checks its operands and wraps the result; _product is the fold.
+    """
+    _check_rank2(a, "matmul")
+    _check_rank2(b, "matmul")
+    if a.cols != b.rows:
+        raise ShapeError(f"matmul inner dims differ: {a.dims} by {b.dims}")
+    with np.errstate(all="ignore"):  # _product's IEEE results: see its docstring
+        return wrap_ndarray(_product(a.view(), b.view()))
+
+
+def _product(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """The one product fold: av @ bv for conforming 2-D float64 ndarrays, each
+    entry summed in ascending k, as a new row-major m x n ndarray.
+
     The k-slices come in slabs of r = max(1, ops._SLAB // (m*n)); once m*n
     exceeds ops._SLAB // 2, a slab is one k-slice. Each entry's sum starts
     from its k = 1 product, as dot's does: from +0.0 it would turn a -0.0 sum
@@ -64,33 +81,31 @@ def matmul(a: NumArray, b: NumArray) -> NumArray:
     tail, which returns the other operand when two NaNs meet. The k = 1
     product has its own 2-D multiply whatever the slab size, since numpy's
     2-D and 3-D broadcast loops can return different operands there too.
+
+    The caller holds np.errstate(all="ignore"), so that inf - inf is NaN and
+    an overflow is inf, as IEEE-754 says: the block DCT enters it once for
+    both of its products.
     """
-    _check_rank2(a, "matmul")
-    _check_rank2(b, "matmul")
-    if a.cols != b.rows:
-        raise ShapeError(f"matmul inner dims differ: {a.dims} by {b.dims}")
-    (m, k), n = a.dims, b.cols
+    (m, k), n = av.shape, bv.shape[1]
     if k == 0 or m * n == 0:  # an empty sum is +0.0, and an empty result walks no k
-        return wrap_ndarray(np.zeros((m, n)))
+        return np.zeros((m, n))
     if m * n == 1:  # one lane, which numpy's reduce would sum pairwise: dot's scan
-        with np.errstate(all="ignore"):  # an overflowing product is inf
-            return wrap_ndarray(ops._ascending(np.add, a.buf * b.buf, 0).reshape(1, 1))
-    at, vb = a.view().T, np.ascontiguousarray(b.view())  # rows of both contiguous
+        return ops._ascending(np.add, av[0] * bv[:, 0], 0).reshape(1, 1)
+    at, vb = av.T, np.ascontiguousarray(bv)  # rows of both contiguous
     r = max(1, ops._SLAB // (m * n))
-    with np.errstate(all="ignore"):  # inf - inf is NaN and overflow is inf, as IEEE-754 says
-        if min(r, k) == 1:  # a first slab of one product is the accumulator
-            acc = np.multiply(at[0, :, None], vb[0, None, :])
-            slab = _line_aligned((min(r, k - 1), m, n))
-        else:  # the k = 1 product by the same 2-D multiply: see the docstring
-            slab = _line_aligned((min(r, k), m, n))
-            np.multiply(at[0, :, None], vb[0, None, :], out=slab[0])
-            np.multiply(at[1:r, :, None], vb[1:r, None, :], out=slab[1:])
-            acc = np.add.reduce(slab, axis=0, initial=-0.0)
-        for k0 in range(r, k, r):  # slab[t, i, j] = a[i, k0+t] * b[k0+t, j]
-            s = slab[:k - k0]
-            np.multiply(at[k0:k0 + r, :, None], vb[k0:k0 + r, None, :], out=s)
-            ops._fold_into(np.add, acc, s)
-    return wrap_ndarray(acc)
+    if min(r, k) == 1:  # a first slab of one product is the accumulator
+        acc = np.multiply(at[0, :, None], vb[0, None, :])
+        slab = _line_aligned((min(r, k - 1), m, n))
+    else:  # the k = 1 product by the same 2-D multiply: see the docstring
+        slab = _line_aligned((min(r, k), m, n))
+        np.multiply(at[0, :, None], vb[0, None, :], out=slab[0])
+        np.multiply(at[1:r, :, None], vb[1:r, None, :], out=slab[1:])
+        acc = np.add.reduce(slab, axis=0, initial=-0.0)
+    for k0 in range(r, k, r):  # slab[t, i, j] = a[i, k0+t] * b[k0+t, j]
+        s = slab[:k - k0]
+        np.multiply(at[k0:k0 + r, :, None], vb[k0:k0 + r, None, :], out=s)
+        ops._fold_into(np.add, acc, s)
+    return acc
 
 
 def dot(a: NumArray, b: NumArray) -> float:

@@ -16,7 +16,7 @@ axis in place, walks it in slabs of at most _SLAB elements and scans each
 slab from the running partial result, so no scan as large as the input is
 ever built. When one slice fills a slab, the fold starts from a copy of the
 first slice and takes one in-place step per later slice (_fold_into), the
-step linalg.matmul folds its later slabs of outer products with. matmul folds
+step linalg._product folds its later slabs of outer products with. _product folds
 its first slab with one np.add.reduce from -0.0, which numpy sums one row at
 a time along that slab's strided leading axis. _ascending keeps accumulate:
 along a contiguous axis, such as dim 1 of reduce_along_dim, numpy's reduce

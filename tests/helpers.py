@@ -18,6 +18,18 @@ def assert_exact(a, expected, msg=""):
     assert np.array_equal(got, want, equal_nan=True), f"{got} != {want} {msg}"
 
 
+def assert_bits(a, expected, msg=""):
+    """Shape, then raw uint64 equality: a NaN must match in sign and payload too."""
+    got, want = arr(a), np.asarray(arr(expected), dtype=np.float64)
+    assert got.shape == want.shape, f"shape {got.shape} != {want.shape} {msg}"
+    gb, wb = got.view(np.uint64), want.view(np.uint64)
+    bad = np.argwhere(gb != wb)
+    assert bad.size == 0, (
+        f"{len(bad)} entries differ; first at {tuple(bad[0])}: "
+        f"{int(gb[tuple(bad[0])]):#018x} != {int(wb[tuple(bad[0])]):#018x} {msg}"
+    )
+
+
 def assert_close(a, expected, tol=1e-12, msg=""):
     got = arr(a)
     want = np.asarray(expected, dtype=np.float64)

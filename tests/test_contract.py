@@ -14,7 +14,9 @@ valid ones, and its arrays from arrays(): empty, 1xn, nx1 or 3-D, holding
 NaN, inf and -0. Function handles are always well behaved. Wrong-class
 arguments (a list where a NumArray belongs, a BoolMask as an operand, a
 handle that cannot be called) are outside the contract, as the README says,
-and are not drawn.
+and are not drawn; the one exception is the optional basis of dct2d and
+idct2d, drawn from VALUES as well, since those refuse a basis of any other
+class.
 
 The one large value is at least 2**62: any size built from it is at least
 2**62 elements of 8 bytes, which numpy refuses before it allocates anything.
@@ -82,6 +84,15 @@ def _nearest_neighbor(d):
 def _span(d):
     end = st.one_of(value, value.map(lambda k: END - k))
     return mk.extract(d(arrays()), IndexExpr.linear(mk.span(d(end), d(end), d(value))))
+
+
+def _dct(fn):
+    # x itself is one basis whose dims match, with its NaN, inf and -0
+    def row(d):
+        x = d(arrays())
+        return fn(x, d(st.one_of(st.none(), st.just(x), arrays(), value)))
+
+    return row
 
 
 def _text(v):
@@ -152,6 +163,8 @@ ROWS = {
     "nearest_neighbor": _nearest_neighbor,
     "replace_neg_nan": lambda d: mk.replace_neg_nan(d(arrays())),
     "dctmtx": lambda d: mk.dctmtx(d(value)),
+    "dct2d": _dct(mk.dct2d),
+    "idct2d": _dct(mk.idct2d),
     "eig_sym": _eig_sym,
     "blockproc": lambda d: mk.blockproc(d(arrays()), (d(value), d(value)), lambda t: t),
     "blockproc/1-tuple": lambda d: mk.blockproc(d(arrays()), (d(value),), lambda t: t),

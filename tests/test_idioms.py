@@ -39,7 +39,7 @@ from matkit import idioms
 from matkit.core import wrap_ndarray
 from matkit.linalg import dctmtx
 
-from helpers import assert_close, assert_exact, max_abs_diff
+from helpers import assert_bits, assert_close, assert_exact, max_abs_diff
 
 LINEAR4 = [16, 5, 9, 4, 2, 11, 7, 14, 3, 10, 6, 15, 13, 8, 12, 1]
 BOUSTRO4 = [16, 5, 9, 4, 14, 7, 11, 2, 3, 10, 6, 15, 1, 12, 8, 13]
@@ -534,3 +534,69 @@ def test_dct2d_zeros_energy_and_round_trip():
 def test_dct2d_mismatched_basis():
     with pytest.raises(ShapeError):
         dct2d(zeros((4, 4)), dctmtx(8))
+
+
+def test_dct_refuses_a_basis_that_is_not_a_numarray():
+    # a list or float leaked AttributeError; a 4 x 4 BoolMask has the block's
+    # dims and would pass as a 0/1 matrix
+    x = magic(4)
+    for t in ([[1.0] * 4] * 4, 2.0, x > 0, "T"):
+        for transform in (dct2d, idct2d):
+            with pytest.raises(ArgumentError, match=re.escape(
+                f"{transform.__name__} transform basis must be a NumArray, got {type(t).__name__}"
+            )):
+                transform(x, t)
+
+
+# ±0, ±inf, ±1e308, the least subnormal, and quiet NaNs of both signs with
+# two payloads (numpy's default and 0x...123)
+_DCT_SPECIALS = np.concatenate((
+    [0.0, -0.0, math.inf, -math.inf, 1e308, -1e308, 5e-324],
+    np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123, 0xFFF8000000000123],
+             dtype=np.uint64).view(np.float64),
+))
+
+
+def _with_specials(rng, x, share):
+    hit = rng.random(x.shape) < share
+    x[hit] = rng.choice(_DCT_SPECIALS, size=int(hit.sum()))
+    return x
+
+
+def _matmul_sandwich(block, t, inverse):
+    left, right = (t.T, t) if inverse else (t, t.T)
+    return matmul(matmul(left, block), right)
+
+
+def _assert_sandwich_bits(block, t):
+    # the public composition is the oracle: T X T' and T' Y T as two matmuls
+    basis = dctmtx(block.rows) if t is None else t
+    assert_bits(dct2d(block, t), _matmul_sandwich(block, basis, False))
+    assert_bits(idct2d(block, t), _matmul_sandwich(block, basis, True))
+
+
+def test_dct_sandwich_is_the_matmul_composition_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for order in range(1, 13):
+        for _ in range(4):
+            x = _with_specials(rng, rng.integers(-25500, 25500, size=(order, order)) / 100, 0.15)
+            t = _with_specials(rng, rng.normal(size=(order, order)), 0.1)
+            for basis in (None, dctmtx(order), wrap_ndarray(t)):
+                _assert_sandwich_bits(wrap_ndarray(x), basis)
+
+
+@pytest.mark.parametrize("dims, r", [((13, 10), 4), ((13, 10), 5), ((9, 9), 8), ((3, 7), 3)])
+def test_dct_sandwich_matches_matmul_on_padded_blockproc_tiles(dims, r):
+    # the edge tiles carry blockproc's zero padding beside the specials
+    rng = np.random.default_rng(20)
+    a = wrap_ndarray(_with_specials(rng, rng.integers(0, 25600, size=dims) / 100, 0.2))
+    t = dctmtx(r)
+    tiles = []
+    blockproc(a, (r, r), lambda blk: tiles.append(blk) or blk)
+    assert len(tiles) == -(-dims[0] // r) * -(-dims[1] // r)
+    for blk in tiles:
+        for basis in (None, t):
+            _assert_sandwich_bits(blk, basis)
+    for transform, inverse in ((dct2d, False), (idct2d, True)):
+        assert_bits(blockproc(a, (r, r), lambda blk: transform(blk, t)),
+                    blockproc(a, (r, r), lambda blk: _matmul_sandwich(blk, t, inverse)))
