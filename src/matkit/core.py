@@ -51,12 +51,18 @@ def normalize_dims(dims) -> tuple:
     out = _extents(dims)
     if len(out) < 2:
         raise ShapeError(f"rank must be at least 2, got dims {out!r}")
-    if math.prod(filter(None, out)) > _INTP_MAX:  # numpy refuses such a shape even when empty
-        raise ArgumentError(f"an array of dims {out} is too large to allocate")
-    out = _trim(out)
+    out = _trim(_indexable(out))
     if len(out) > _MAX_RANK:
         raise ShapeError(f"rank {len(out)} exceeds numpy's rank limit {_MAX_RANK}")
     return out
+
+
+def _indexable(dims: tuple) -> tuple:
+    """dims itself, if numpy can index the shape: the product of its nonzero
+    extents fits an intp (numpy refuses such a shape even when empty)."""
+    if math.prod(filter(None, dims)) > _INTP_MAX:
+        raise ArgumentError(f"an array of dims {dims} is too large to allocate")
+    return dims
 
 
 def _extents(dims) -> tuple:
@@ -79,6 +85,18 @@ def _trim(shape: tuple) -> tuple:
 def broadcast_shapes(a_dims, b_dims) -> tuple:
     """Result dims of combining two shapes under the singleton-expansion rule:
     an extent-1 dimension repeats its slice."""
+    return normalize_dims(_paired(a_dims, b_dims))
+
+
+def _broadcast_dims(a_dims: tuple, b_dims: tuple) -> tuple:
+    """broadcast_shapes of two normalized dims, which it trusts: their
+    pairing has int extents, a rank in 2..numpy's limit and no trailing
+    singleton to trim, so only the pairing and the size can fail."""
+    return _indexable(_paired(a_dims, b_dims))
+
+
+def _paired(a_dims, b_dims) -> tuple:
+    """The extents of two shapes paired by the singleton-expansion rule."""
     out = []
     for t, (da, db) in enumerate(zip_longest(a_dims, b_dims, fillvalue=1)):
         if da == db:
@@ -91,7 +109,7 @@ def broadcast_shapes(a_dims, b_dims) -> tuple:
             raise BroadcastError(
                 f"dimension {t + 1}: extents {da} and {db} are incompatible"
             )
-    return normalize_dims(out)
+    return tuple(out)
 
 
 def _check_rank2(a, who: str):
@@ -412,6 +430,11 @@ def _view_at_rank(a, rank: int) -> np.ndarray:
     """a's nd view (NumArray or BoolMask) with trailing singleton axes up to
     rank >= a's own: every dimension past an array's rank is a singleton."""
     return getattr(a, a._FLAT).reshape(a.dims + (1,) * (rank - len(a.dims)), order="F")
+
+
+def _shaped(flat: np.ndarray, dims: tuple) -> np.ndarray:
+    """A flat buffer as an nd view of dims, read down the columns first."""
+    return flat.reshape(dims, order="F")
 
 
 # -- construction ---------------------------------------------------------

@@ -22,7 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    BoolMask, NumArray, _allocated, _integral, _is_int, _linear_positions, _number, _trim,
+    BoolMask, NumArray, _allocated, _integral, _is_int, _linear_positions, _number, _shaped,
+    _trim, wrap_ndarray,
 )
 from .errors import ArgumentError, IndexBoundsError, ShapeError
 
@@ -103,6 +104,8 @@ def _mask_bits(mask: BoolMask, extent: int, what: str) -> np.ndarray:
 
 def _resolve_selector(sel, extent: int, what: str) -> np.ndarray:
     """Selector -> 0-based positions; raises naming the first offending index."""
+    if _is_int(sel) and 1 <= sel <= extent:  # the common case, with no vector checks
+        return np.array((sel - 1,), dtype=np.intp)
     if sel is ALL:
         return np.arange(extent, dtype=np.intp)
     if isinstance(sel, BoolMask):
@@ -195,7 +198,7 @@ class IndexExpr:
 def extract(a: NumArray, ix: IndexExpr) -> NumArray:
     """The elements at the selected positions, shaped as the selection."""
     pos, dims = ix._positions(a)
-    return NumArray(dims, a.buf[pos])
+    return wrap_ndarray(_shaped(a.buf[pos], dims))  # dims are normalized already
 
 
 def _vector_dims(a: NumArray, n: int) -> tuple:

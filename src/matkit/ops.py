@@ -1,12 +1,16 @@
 """Broadcasting, elementwise arithmetic/comparison, reductions, and merge.
 
-Every broadcasting operation (arithmetic, comparison, merge, mask algebra
-and apply_broadcast) goes through one path, _broadcast_apply: the result
-shape is folded over the operands by the singleton-expansion rule, and
-operands of lower rank are aligned by core's _view_at_rank, the view padded
-with singleton dimensions on the right (so a 1x3 row against an hxwx3 volume
-needs an explicit permute first, exactly like the source notation). A
-singleton dimension is repeated without materializing copies.
+Every broadcasting operation (arithmetic, comparison, merge, mask algebra,
+apply_broadcast, and the unary maps as a one-operand case) goes through one
+path, _broadcast_apply: the result shape is folded over the operands by the
+singleton-expansion rule, and operands of lower rank are aligned by core's
+_view_at_rank, the view padded with singleton dimensions on the right (so a
+1x3 row against an hxwx3 volume needs an explicit permute first, exactly
+like the source notation). A singleton dimension is repeated without
+materializing copies. The fold takes only dims that differ from the running
+result, a scalar operand reaches numpy as a Python float (built into no
+array unless the result is 1x1), and the result is wrapped once, by the
+trusted wrap_ndarray.
 
 Reductions accumulate in ascending index order, deliberately: no pairwise or
 compensated summation, so a vectorized sum is bit-for-bit equal to the naive
@@ -31,33 +35,55 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    BoolMask, NumArray, _check_dim, _check_rank2, _choice, _number, _view_at_rank,
-    broadcast_shapes, wrap_ndarray,
+    BoolMask, NumArray, _broadcast_dims, _check_dim, _check_rank2, _choice, _number,
+    _view_at_rank, wrap_ndarray,
 )
 from .errors import ArgumentError
 
 
-def _coerce(x) -> NumArray:
-    """An operand as a NumArray: a scalar operand must be a _number."""
+def _coerce(x):
+    """An operand as a NumArray, or as a Python float when it is a scalar:
+    a scalar operand must be a _number."""
     if isinstance(x, NumArray):
         return x
-    return NumArray((1, 1), [float(_number(x, "scalar operand"))])
+    return float(_number(x, "scalar operand"))
 
 
 def _broadcast_apply(fn, *operands):
     """The one broadcasting path: fn over right-padded views of the operands.
 
-    The result shape folds broadcast_shapes over the operands' dims; each
-    operand's view is padded with trailing singleton axes up to the common
-    rank (core._view_at_rank), so numpy repeats extent-1 dimensions.
-    wrap_ndarray turns a bool result into a BoolMask, anything else into a
-    NumArray.
+    The result shape folds the array operands' dims by the singleton-expansion
+    rule, folding only dims that differ from the running result: they are
+    normalized already, so core._broadcast_dims trusts them. Each array's
+    view is padded with trailing singleton axes up to the common rank
+    (core._view_at_rank), so numpy repeats extent-1 dimensions. A scalar
+    operand (a float, from _coerce) reaches fn as it is, and numpy repeats it
+    too; only a 1x1 result, with no extent to repeat along, takes its scalars
+    as 1x1 arrays: numpy's power loop answers an exponent it repeats, 0.5 by
+    sqrt, so -0 ^ 0.5 would be -0 where a 1x1 gives +0. wrap_ndarray turns a
+    bool result into a BoolMask, anything else into a NumArray.
     """
-    dims = operands[0].dims
-    for x in operands[1:]:
-        dims = broadcast_shapes(dims, x.dims)
+    # plain loops, not comprehensions: this runs on every kernel call, and a
+    # comprehension costs a frame of its own
+    dims = None
+    for x in operands:
+        if isinstance(x, float):
+            continue
+        if dims is None:
+            dims = x.dims
+        elif x.dims != dims:
+            dims = _broadcast_dims(dims, x.dims)
+    if dims is None:
+        dims = (1, 1)
     # operand dims are normalized, so no operand outranks the result
-    return wrap_ndarray(fn(*(_view_at_rank(x, len(dims)) for x in operands)))
+    rank, single = len(dims), dims == (1, 1)
+    views = []
+    for x in operands:
+        if not isinstance(x, float):
+            views.append(_view_at_rank(x, rank))
+        else:
+            views.append(np.array([[x]]) if single else x)
+    return wrap_ndarray(fn(*views))
 
 
 _BINARY = {
@@ -100,12 +126,12 @@ def compare(op: str, a, b) -> BoolMask:
         return _broadcast_apply(fn, _coerce(a), _coerce(b))
 
 
-def ew_unary(op: str, a: NumArray) -> NumArray:
-    """Elementwise abs/sqrt/neg/cos/sin; sqrt of a negative is NaN."""
+def ew_unary(op: str, a) -> NumArray:
+    """Elementwise abs/sqrt/neg/cos/sin of a NumArray, or of a number as a
+    1x1; sqrt of a negative is NaN."""
     fn = _UNARY[_choice(op, _UNARY, "unary operator")]
     with np.errstate(all="ignore"):
-        out = fn(a.buf)
-    return NumArray(a.dims, out)
+        return _broadcast_apply(fn, _coerce(a))
 
 
 # Elements per scan slab in _ascending (128 KiB of doubles). numpy's

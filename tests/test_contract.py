@@ -144,6 +144,9 @@ ROWS = {
     "logical_assign": _logical_assign,
     "ew_binary": lambda d: mk.ew_binary(d(st.sampled_from("+-*/^")), d(arrays()), d(value)),
     "compare": lambda d: mk.compare(d(st.sampled_from(["<", "==", "!="])), d(value), d(arrays())),
+    "ew_unary": lambda d: mk.ew_unary(
+        d(st.sampled_from(["abs", "sqrt", "neg", "cos", "sin"])), d(st.one_of(arrays(), value))
+    ),
     "NumArray.__eq__": lambda d: d(arrays()) == d(value),
     "merge": lambda d: mk.merge(d(arrays()) > 0, d(value), d(value)),
     "apply_broadcast": lambda d: mk.apply_broadcast(_add, d(arrays()), d(value)),

@@ -35,7 +35,7 @@ from matkit import (
     zeros,
     zigzag_scan,
 )
-from matkit import idioms
+from matkit import core, idioms
 from matkit.core import wrap_ndarray
 from matkit.linalg import dctmtx
 
@@ -218,6 +218,18 @@ def test_distance_triangle_inequality_sampled():
     for _ in range(200):
         i, j, k = rng.integers(0, 40, size=3)
         assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
+
+
+def test_row_broadcast_builds_nothing_through_the_validating_constructor(monkeypatch):
+    # each of the 300 iterations makes 5 kernel calls; none of them may build
+    # through NumArray(dims, buf), whose checks cost more than the arithmetic
+    # of a 300x5 call
+    p = Prng(42).uniform((300, 5))
+    calls = []
+    checked = core._init_checked
+    monkeypatch.setattr(core, "_init_checked", lambda *args: (calls.append(1), checked(*args)))
+    distance_matrix(p, "rowBroadcast")
+    assert len(calls) == 0
 
 
 def test_distance_unknown_strategy():

@@ -36,7 +36,7 @@ from matkit import (
 from matkit import ops
 from matkit.core import normalize_dims, wrap_ndarray
 
-from helpers import assert_exact, max_abs_diff
+from helpers import assert_bits, assert_exact, max_abs_diff
 
 
 # --- broadcast planning ---
@@ -101,6 +101,18 @@ def test_unary_ops():
     assert abs(ew_unary("cos", from_rows([[theta]])).item() - 0.70711) < 1e-5
     assert abs(ew_unary("sin", from_rows([[theta]])).item() - 0.70711) < 1e-5
     assert np.isnan(ew_unary("sqrt", from_rows([[-1.0]])).item())
+
+
+def test_unary_takes_its_operand_as_ew_binary_does():
+    # a number, a mask, a list and a str each leaked AttributeError ('buf')
+    assert_exact(ew_unary("neg", 3.0), [[-3.0]])
+    assert_exact(ew_unary("sqrt", 4), [[2.0]])
+    m = magic(4)
+    for bad, match in ((m > 2, "got BoolMask"), ([1, 2], "got list"), ("2", "got str"),
+                       (None, "got NoneType"), (True, "got bool"),
+                       (10**400, "beyond the largest double")):
+        with pytest.raises(ArgumentError, match=match):
+            ew_unary("abs", bad)
 
 
 # --- reductions ---
@@ -223,6 +235,64 @@ def test_scalar_operands_must_be_numbers_a_double_can_hold():
                      lambda: apply_broadcast(lambda x, y: x + y, m, bad)):
             with pytest.raises(ArgumentError, match=match):
                 call()
+
+
+def _double(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+# the scalar operands of the differential: signed zeros and infinities, the
+# extremes, the least subnormal, and NaNs of both signs with two payloads
+_SCALARS = (0.0, -0.0, math.inf, -math.inf, 1e308, -1e308, 5e-324, 2, -3.5, 0.5, -1, 1,
+            _double(0x7FF8000000000000), _double(0xFFF8000000000000),
+            _double(0x7FF8000000000123), _double(0xFFF8000000000123))
+
+
+def _one(x) -> NumArray:
+    return NumArray((1, 1), [x])
+
+
+def _assert_same_mask(got, want):
+    assert got.dims == want.dims and np.array_equal(got.bits, want.bits)
+
+
+def test_scalar_operand_equals_its_1x1_array_bit_for_bit():
+    # a Python number reaches numpy as a float; a 1x1 NumArray as a
+    # broadcast view: the two must give the same bits, NaN sign and payload too
+    a = NumArray((3, 5), [_SCALARS[k % len(_SCALARS)] for k in range(15)])
+    v = wrap_ndarray(np.arange(-1.5, 1.5, 0.25).reshape(2, 1, 6))
+    m = a > 0
+    for s in _SCALARS:
+        for t in _SCALARS[::3]:
+            for op in "+-*/^":
+                for x in (a, v, _one(t)):  # a 1x1 x leaves numpy no extent to repeat s along
+                    assert_bits(ew_binary(op, x, s), ew_binary(op, x, _one(s)), f"{op} {s!r}")
+                    assert_bits(ew_binary(op, s, x), ew_binary(op, _one(s), x), f"{s!r} {op}")
+                assert_bits(ew_binary(op, s, t), ew_binary(op, _one(s), _one(t)), f"{s!r} {op} {t!r}")
+            for op in ("<", "<=", ">", ">=", "==", "!="):
+                _assert_same_mask(compare(op, a, s), compare(op, a, _one(s)))
+                _assert_same_mask(compare(op, s, v), compare(op, _one(s), v))
+                _assert_same_mask(compare(op, s, t), compare(op, _one(s), _one(t)))
+            assert_bits(merge(m, s, a), merge(m, _one(s), a))
+            assert_bits(merge(m, a, s), merge(m, a, _one(s)))
+            assert_bits(merge(m, s, t), merge(m, _one(s), _one(t)))
+        for op in ("abs", "sqrt", "neg", "cos", "sin"):
+            assert_bits(ew_unary(op, s), ew_unary(op, _one(s)), f"{op} {s!r}")
+
+
+def test_refused_scalar_operands_give_one_error_in_either_position():
+    a = magic(4)
+    calls = (lambda x, y: ew_binary("^", x, y), lambda x, y: compare("<", x, y),
+             lambda x, y: merge(a > 8, x, y))
+    for bad, message in ((True, "scalar operand must be a number, got bool"),
+                         ("2", "scalar operand must be a number, got str"),
+                         (None, "scalar operand must be a number, got NoneType"),
+                         (10**400, "scalar operand is an int beyond the largest double")):
+        for call in calls:
+            for x, y in ((a, bad), (bad, a), (bad, 2.0), (2.0, bad)):
+                with pytest.raises(ArgumentError) as err:
+                    call(x, y)
+                assert type(err.value) is ArgumentError and str(err.value) == message
 
 
 def test_merge_replace_neg_nan_pattern():
