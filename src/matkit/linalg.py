@@ -12,17 +12,22 @@ later slab in one in-place add per index (ops._fold_into). dot, and a
 1 x k by k x 1 product, stay on ops._ascending, whose scan takes one Python
 step per slab rather than per index.
 
-The eigensolver is a Jacobi iteration in Brent-Luk round-robin order: each
-round rotates a set of disjoint index pairs in one vectorized update. It only
-handles symmetric input, which is all the covariance-style workloads here
-need, and it hands back orthonormal vectors by construction.
+The eigensolver is a parallel Jacobi iteration. Its sweeps follow the circle
+method, one index fixed and the others rotating, and each round rotates a
+set of disjoint index pairs in one vectorized update: the round's index
+arrays are built once per order and cached read-only, and its column and row
+rotations each gather every pair and partner line at once. It only handles
+symmetric input, which is all the covariance-style workloads here need, and
+it hands back orthonormal vectors by construction.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,15 +192,58 @@ def _round_robin(d: int) -> list:
     return rounds
 
 
-def eig_sym(s: NumArray, max_sweeps: int = 100) -> EigResult:
-    """Eigendecomposition of a symmetric matrix by round-robin Jacobi rotations.
+class _Plan(NamedTuple):
+    """The indices of one Jacobi round over order d: its h pairs (p, q), pq =
+    [p|q] and both = [p|q|q|p], which gathers every operand of the round's
+    rotations at once; and, as flat positions in eig_sym's d x 2d working
+    array, the entries (p, q), the diagonal at pq and the entries (p, q) and
+    (q, p) that the round zeroes."""
 
-    Each sweep runs the d-1 rounds of the Brent-Luk round-robin ordering;
-    a round rotates up to d/2 disjoint (p, q) pairs at once, skipping pairs
-    whose off-diagonal magnitude is already below the threshold. Sweeps run
-    until every off-diagonal magnitude falls below 1e-12 times the input's
-    infinity norm (capped at max_sweeps). Values come back ascending; each
-    vector is sign-normalized so its largest-magnitude component is positive.
+    p: np.ndarray
+    q: np.ndarray
+    pq: np.ndarray
+    both: np.ndarray
+    h: int
+    at: np.ndarray
+    diag: np.ndarray
+    zero: np.ndarray
+
+
+def _plan(p: np.ndarray, q: np.ndarray, d: int) -> _Plan:
+    n = 2 * d  # the working array's row length: entry (i, j) of m is at j*n + i
+    pq, qp = np.concatenate((p, q)), np.concatenate((q, p))
+    plan = _Plan(p, q, pq, np.concatenate((pq, qp)), p.size, q * n + p, pq * (n + 1), qp * n + pq)
+    for a in plan:
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return plan
+
+
+@functools.lru_cache(maxsize=8)
+def _round_plans(d: int) -> tuple:
+    """The plans of _round_robin(d)'s rounds, built once per order and
+    read-only, since every call of that order shares them. They hold about
+    3x the working array's bytes, so only the last few orders are kept."""
+    return tuple(_plan(p, q, d) for p, q in _round_robin(d))
+
+
+def eig_sym(s: NumArray, max_sweeps: int = 100) -> EigResult:
+    """Eigendecomposition of a symmetric matrix by parallel Jacobi rotations.
+
+    Each sweep runs the rounds of _round_robin's circle method, in which one
+    index stays fixed while the others rotate; a round rotates up to d/2
+    disjoint (p, q) pairs at once, skipping pairs whose off-diagonal magnitude
+    is already below the threshold. Sweeps run until every off-diagonal
+    magnitude falls below 1e-12 times the input's infinity norm (capped at
+    max_sweeps). Values come back ascending; each vector is sign-normalized so
+    its largest-magnitude component is positive.
+
+    A round computes every kept pair's rotation (c, s) from the matrix as the
+    round found it, then turns the pair columns of m and of the vectors v,
+    then the pair rows of m, then zeroes the pairs. Each turn is one gather of
+    the pair and partner lines (_Plan.both), one multiply by [c, c, s, -s] in
+    place and one difference of the halves, scattered back. The rounds' plans
+    are built once per order (_round_plans).
 
     The sweeps run on the input scaled by the power of two 2**-e that brings
     its norm into [0.5, 1), so no difference or square in a rotation can
@@ -215,45 +263,52 @@ def eig_sym(s: NumArray, max_sweeps: int = 100) -> EigResult:
         if _inf_norm(a - a.T) > 1e-9 * norm:
             raise ArgumentError("eig_sym input is not symmetric")
     e = math.frexp(norm)[1]
-    # m on top of v: one column rotation of w turns the columns of both.
-    w = np.vstack((np.ldexp(a, -e), np.eye(d)))
-    m, v = w[:d], w[d:]
+    # Row j of w holds column j of m, then column j of v: one row rotation of
+    # w turns the columns of both, and m's rows are w's first d columns (mt).
+    # flat is w's buffer, in which the plans name single entries of m.
+    w = np.hstack((np.ldexp(a, -e).T, np.eye(d)))
+    mt, flat = w[:, :d], w.reshape(-1)
     thresh = math.ldexp(1e-12 * norm, -e)
-    rounds = _round_robin(d)
+    plans = _round_plans(d)
     sweeps = 0
-    off = _off_diag_max(m)
+    off = _off_diag_max(mt)
     while off > thresh:
         if sweeps >= max_sweeps:
             raise ConvergenceError(
                 f"Jacobi sweeps exceeded {max_sweeps} (off-diagonal {math.ldexp(off, e):.3e})"
             )
-        for p, q in rounds:
-            apq = m[p, q]
+        for p, q, pq, both, h, at, diag, zero in plans:
+            apq = flat[at]
             big = np.abs(apq) > thresh
-            if not big.all():
-                p, q, apq = p[big], q[big], apq[big]
-                if p.size == 0:
+            kept = np.count_nonzero(big)
+            if kept < h:
+                if not kept:
                     continue
-            tau = (m[q, q] - m[p, p]) / (2.0 * apq)
+                p, q, pq, both, h, at, diag, zero = _plan(p[big], q[big], d)
+                apq = apq[big]
+            dg = flat[diag]
+            tau = (dg[h:] - dg[:h]) / (2.0 * apq)
             t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
             c = 1.0 / np.sqrt(1.0 + t * t)
             sn = t * c
-            # Column p gets c*x_p - sn*x_q and column q gets c*x_q + sn*x_p.
-            pq, qp = np.concatenate((p, q)), np.concatenate((q, p))
-            cc, ss = np.concatenate((c, c)), np.concatenate((sn, -sn))
-            w[:, pq] = w[:, pq] * cc - w[:, qp] * ss
-            m[pq, :] = cc[:, None] * m[pq, :] - ss[:, None] * m[qp, :]
-            m[pq, qp] = 0.0
+            # Line p gets c*x_p - sn*x_q and line q gets c*x_q - (-sn)*x_p.
+            cs = np.concatenate((c, c, sn, -sn))
+            g = w[both]
+            g *= cs[:, None]
+            w[pq] = g[:2 * h] - g[2 * h:]
+            g = mt[:, both]
+            g *= cs
+            mt[:, pq] = g[:, :2 * h] - g[:, 2 * h:]
+            flat[zero] = 0.0
         sweeps += 1
-        off = _off_diag_max(m)
-    vals = np.ldexp(np.diag(m), e)
+        off = _off_diag_max(mt)
+    vals = np.ldexp(np.diag(mt), e)
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
-    v = v[:, order]
-    for j in range(d):
-        i = int(np.argmax(np.abs(v[:, j])))
-        if v[i, j] < 0:
-            v[:, j] = -v[:, j]
+    v = w[order, d:].T
+    if d:
+        top = v[np.argmax(np.abs(v), axis=0), np.arange(d)]
+        np.negative(v, out=v, where=top < 0)
     return EigResult(
         vectors=wrap_ndarray(v),
         values=NumArray((d, 1), vals),

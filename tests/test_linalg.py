@@ -1,6 +1,8 @@
 """Matrix product, solve, Jacobi eigendecomposition, DCT basis, diagonals."""
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -30,9 +32,10 @@ from matkit import (
 from matkit import ops
 from matkit.bench import Prng
 from matkit.core import wrap_ndarray
-from matkit.linalg import _round_robin
+from matkit.idioms import pca
+from matkit.linalg import _round_plans, _round_robin
 
-from helpers import assert_close, assert_exact, max_abs_diff
+from helpers import assert_bits, assert_close, assert_exact, max_abs_diff
 
 
 # --- matmul ---
@@ -435,6 +438,134 @@ def test_round_robin_schedule_covers_each_pair_once(d):
         assert np.unique(members).size == members.size  # disjoint pairs
         seen += list(zip(p.tolist(), q.tolist()))
     assert sorted(seen) == [(p, q) for p in range(d) for q in range(p + 1, d)]
+    # eig_sym's plans: the same pairs in the same order, cached and read-only
+    plans = _round_plans(d)
+    assert _round_plans(d) is plans
+    # eig_sym's working array: row j holds column j of m, then column j of v
+    m = np.arange(d * d, dtype=float).reshape(d, d)
+    flat = np.hstack((m.T, np.eye(d))).reshape(-1)
+    assert len(plans) == len(rounds)
+    for (p, q), plan in zip(rounds, plans):
+        pq, qp = np.concatenate((p, q)), np.concatenate((q, p))
+        assert plan.h == p.size
+        for got, want in ((plan.p, p), (plan.q, q), (plan.pq, pq),
+                          (plan.both, np.concatenate((pq, qp)))):
+            assert np.array_equal(got, want)
+        assert np.array_equal(flat[plan.at], m[p, q])
+        assert np.array_equal(flat[plan.diag], m[pq, pq])
+        assert np.array_equal(flat[plan.zero], m[pq, qp])
+        for a in plan:
+            if isinstance(a, np.ndarray):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[...] = 0
+
+
+def _loop_eig_sym(a: np.ndarray):
+    """The oracle of eig_sym: the same Jacobi sweeps one scalar at a time.
+
+    Each round computes every kept pair's (c, s) from the matrix as the round
+    found it, then rotates the columns of m and v, then the rows of m, then
+    zeroes the pairs. The schedule is the circle method with index n-1 fixed.
+    The row sums of the norm are sequential here and pairwise in numpy; the
+    norm only sets the threshold, so they could differ only for a pair that
+    sits on it. Returns (vectors, values, sweeps, off_norm).
+    """
+    d = len(a)
+    norm = max((sum(abs(x) for x in row) for row in a.tolist()), default=0.0)
+    e = math.frexp(norm)[1]
+    m = [[math.ldexp(x, -e) for x in row] for row in a.tolist()]
+    v = [[float(i == j) for j in range(d)] for i in range(d)]
+    thresh = math.ldexp(1e-12 * norm, -e)
+    n = d + d % 2
+    rounds = []
+    for r in range(n - 1):
+        ends = [(n - 1, r)] + [((r + k) % (n - 1), (r - k) % (n - 1)) for k in range(1, n // 2)]
+        rounds.append([(min(x, y), max(x, y)) for x, y in ends if x < d and y < d])
+
+    def off_diag():
+        return max((abs(m[i][j]) for i in range(d) for j in range(d) if i != j), default=0.0)
+
+    sweeps, off = 0, off_diag()
+    while off > thresh:
+        for pairs in rounds:
+            turns = []
+            for p, q in pairs:
+                if abs(m[p][q]) > thresh:
+                    tau = (m[q][q] - m[p][p]) / (2.0 * m[p][q])
+                    t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                    c = 1.0 / math.sqrt(1.0 + t * t)
+                    turns.append((p, q, c, t * c))
+            for p, q, c, s in turns:
+                for row in m + v:
+                    row[p], row[q] = c * row[p] - s * row[q], c * row[q] + s * row[p]
+            for p, q, c, s in turns:
+                m[p], m[q] = ([c * x - s * y for x, y in zip(m[p], m[q])],
+                              [c * y + s * x for x, y in zip(m[p], m[q])])
+            for p, q, c, s in turns:
+                m[p][q] = m[q][p] = 0.0
+        sweeps += 1
+        off = off_diag()
+    vals = [math.ldexp(m[i][i], e) for i in range(d)]
+    order = sorted(range(d), key=vals.__getitem__)
+    vectors = []
+    for j in order:
+        col = [row[j] for row in v]
+        top = max(range(d), key=lambda i: abs(col[i]))
+        vectors.append([-x for x in col] if col[top] < 0 else col)
+    return (np.array(vectors).T.reshape(d, d), np.array([vals[j] for j in order]).reshape(d, 1),
+            sweeps, math.ldexp(off, e))
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_eig_sym_is_its_scalar_loop_bit_for_bit(d):
+    rng = np.random.default_rng(4700 + d)
+    raw = rng.standard_normal((d, d))
+    s = (raw + raw.T) / 2
+    blocks = s.copy()  # zero off-diagonal blocks: their pairs are skipped
+    blocks[: d // 2, d // 2:] = blocks[d // 2:, : d // 2] = 0.0
+    banded = np.triu(np.tril(s, 2), -2)  # skipped pairs in every sweep
+    ties = np.round(s * 2) / 2  # equal diagonals give tau = 0 or -0
+    signed_zeros = np.diag(np.where(np.diag(s) > 0, np.diag(s), -0.0))
+    for x in (s, blocks, banded, ties, signed_zeros, s * 1e300, s * 1e-300):
+        e = eig_sym(wrap_ndarray(x))
+        vectors, values, sweeps, off_norm = _loop_eig_sym(x)
+        assert_bits(e.vectors, vectors)
+        assert_bits(e.values, values)
+        assert e.sweeps == sweeps
+        assert_bits([[e.off_norm]], [[off_norm]])
+
+
+def _pca_digests(seed: int) -> dict:
+    """SHA-256 per order of the uint64 bits of pca's (y, p, s), then of
+    eig_sym(s)'s values, sweeps and off_norm, on linalg-pca's inputs."""
+    rng = Prng(seed)
+    out = {}
+    for d in (40, 80):
+        scale = np.linspace(0.5, 2.0, d).reshape(-1, 1)
+        y, p, s = pca(wrap_ndarray(rng.normal((d, 400)).view() * scale))
+        e = eig_sym(s)
+        h = hashlib.sha256()
+        for x in (y, p, s, e.values):
+            h.update(x.buf.view(np.uint64).tobytes())
+        h.update(struct.pack("<qd", e.sweeps, e.off_norm))
+        out[d] = h.hexdigest()
+    return out
+
+
+# computed before eig_sym's rounds gathered their pairs once per phase; a
+# faster round must give the same bits
+_PCA_DIGESTS = {
+    42: {40: "66ca42420e234aa9c86f21ef48ab516a444e337d9d7b745e5de7d83daf5ffe0f",
+         80: "cb0feb424091c73a35b5a9b3e1b2e21c763700d0fe554e2e4d608be97dc27f61"},
+    7: {40: "bc9e3a2d56991de6ad84ad46669fb09cf39c64d676a69ca78e28a5773559007d",
+        80: "8d750f561783f370b69c5671bed4d39ffc7efb507b1aa1703a773f21eacee578"},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_PCA_DIGESTS))
+def test_pca_at_workload_size_keeps_its_bits(seed):
+    assert _pca_digests(seed) == _PCA_DIGESTS[seed]
 
 
 def _random_symmetric(d, seed):
