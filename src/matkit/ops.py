@@ -15,17 +15,23 @@ trusted wrap_ndarray.
 Reductions accumulate in ascending index order, deliberately: no pairwise or
 compensated summation, so a vectorized sum is bit-for-bit equal to the naive
 sequential loop over the same data. One helper, _ascending, folds every
-reduction (reduce_along_dim here, linalg.dot too): it indexes the reduced
-axis in place, walks it in slabs of at most _SLAB elements and scans each
-slab from the running partial result, so no scan as large as the input is
-ever built. When one slice fills a slab, the fold starts from a copy of the
-first slice and takes one in-place step per later slice (_fold_into), the
-step linalg._product folds its later slabs of outer products with. _product folds
-its first slab with one np.add.reduce from -0.0, which numpy sums one row at
-a time along that slab's strided leading axis. _ascending keeps accumulate:
-along a contiguous axis, such as dim 1 of reduce_along_dim, numpy's reduce
-sums pairwise. Elementwise maps may be parallelized freely by the backend;
-reductions stay sequential per slice.
+reduction (reduce_along_dim here, linalg.dot too). When at least two lanes
+share the reduced axis and that axis is not the smallest-stride axis of
+extent > 1, it is one ufunc.reduce on the view in place, from -0.0 (or 1.0),
+the exact identity: numpy's inner loop then runs across the lanes and adds
+one row per step, in ascending order, as linalg._product's first slab relies
+on. Three cases keep the slab scan (_scan): fewer than two lanes (dot, a
+vector along its length) and the innermost axis (dim 1 of the column-major
+layout), which numpy would sum pairwise, and a result holding any NaN, since
+numpy's vector loop returns the other NaN where two meet in its tail lanes.
+The scan indexes the reduced axis in place, walks it in slabs of at most
+_SLAB elements and scans each slab from the running partial result, so no
+scan as large as the input is ever built; when one slice fills a slab, it
+starts from a copy of the first slice and takes one in-place step per later
+slice (_fold_into), the step linalg._product folds its later slabs with.
+extremum is one NaN-skipping fmin/fmax reduce and one first-hit scan.
+Elementwise maps may be parallelized freely by the backend; reductions stay
+sequential per slice.
 """
 
 from __future__ import annotations
@@ -134,7 +140,7 @@ def ew_unary(op: str, a) -> NumArray:
         return _broadcast_apply(fn, _coerce(a))
 
 
-# Elements per scan slab in _ascending (128 KiB of doubles). numpy's
+# Elements per scan slab in _scan (128 KiB of doubles). numpy's
 # accumulate runs one inner loop per lane, so a scan pays off only while a
 # slab holds few lanes; wider slices are cheaper as in-place steps.
 _SLAB = 1 << 14
@@ -148,7 +154,40 @@ def _fold_into(ufunc, acc: np.ndarray, slices) -> np.ndarray:
 
 
 def _ascending(ufunc, v: np.ndarray, ax: int) -> np.ndarray:
-    """ufunc folded along axis ax in ascending index order; ax is kept, extent 1.
+    """ufunc (np.add or np.multiply) folded along axis ax in ascending index
+    order; ax is kept, extent 1. v must have a nonzero extent along ax.
+
+    When at least two lanes share ax and ax is not the smallest-stride axis
+    of extent > 1, this is one ufunc.reduce on v in place from the exact
+    identity (-0.0 for +, which keeps an all -0.0 lane -0.0; 1.0 for *):
+    numpy's inner loop runs across the lanes, adding one row per step in
+    ascending order, and builds nothing larger than the result. Three cases
+    keep the slab scan (_scan): fewer than two lanes and the innermost axis,
+    which numpy's reduce would sum pairwise, and a result holding a NaN,
+    which the reduce's vector loop can take from the other operand where two
+    NaNs meet. Either way the bits are _scan's, NaN sign and payload included.
+    """
+    with np.errstate(all="ignore"):  # inf - inf is NaN and overflow is inf, as IEEE-754 says
+        if _across_lanes(v, ax):
+            out = ufunc.reduce(v, axis=ax, initial=-0.0 if ufunc is np.add else 1.0, keepdims=True)
+            if not np.count_nonzero(np.isnan(out)):
+                return out
+        return _scan(ufunc, v, ax)
+
+
+def _across_lanes(v: np.ndarray, ax: int) -> bool:
+    """Whether at least two lanes share axis ax and some other axis of
+    extent > 1 has a smaller stride, so numpy's reduce loops across lanes."""
+    if v.size > v.shape[ax]:
+        step = abs(v.strides[ax])
+        for e, s in zip(v.shape, v.strides):  # a plain loop: this runs on every reduction
+            if abs(s) < step and e > 1:
+                return True
+    return False
+
+
+def _scan(ufunc, v: np.ndarray, ax: int) -> np.ndarray:
+    """_ascending as a slab-bounded scan; the caller ignores IEEE errors.
 
     Bit for bit the last slice of ufunc.accumulate(v, axis=ax), without a scan
     as large as v. The axis is walked in slabs of `rows` slices, at most
@@ -157,8 +196,7 @@ def _ascending(ufunc, v: np.ndarray, ax: int) -> np.ndarray:
     from the running partial result, carried as the left operand (acc + v[k],
     the sequential order). When one slice alone fills a slab (rows == 1), the
     fold starts from a copy of the first slice and each step is a single
-    in-place ufunc(acc, v[k]) (_fold_into). v must have a nonzero extent along
-    ax.
+    in-place ufunc(acc, v[k]) (_fold_into).
     """
     pre = (slice(None),) * ax
     last = pre + (slice(-1, None),)
@@ -168,24 +206,24 @@ def _ascending(ufunc, v: np.ndarray, ax: int) -> np.ndarray:
     def part(k, m=1):  # slices k .. k+m-1 along ax, a view
         return v[pre + (slice(k, k + m),)]
 
-    with np.errstate(all="ignore"):  # inf - inf is NaN and overflow is inf, as IEEE-754 says
-        if rows == 1:
-            return _fold_into(ufunc, part(0).copy(order="K"), map(part, range(1, n)))
-        acc = ufunc.accumulate(part(0, rows), axis=ax)[last]  # the first slab needs no carry
-        for k in range(rows, n, rows):
-            scan = np.concatenate((acc, part(k, rows)), axis=ax)
-            ufunc.accumulate(scan, axis=ax, out=scan)
-            acc = scan[last]
+    if rows == 1:
+        return _fold_into(ufunc, part(0).copy(order="K"), map(part, range(1, n)))
+    acc = ufunc.accumulate(part(0, rows), axis=ax)[last]  # the first slab needs no carry
+    for k in range(rows, n, rows):
+        scan = np.concatenate((acc, part(k, rows)), axis=ax)
+        ufunc.accumulate(scan, axis=ax, out=scan)
+        acc = scan[last]
     return acc
 
 
 def reduce_along_dim(kind: str, a: NumArray, dim: int) -> NumArray:
     """Sum/prod/mean along dim, collapsing its extent to 1.
 
-    Accumulation is strictly ascending-index, never pairwise: a slab-bounded
-    ascending scan (_ascending), bit for bit the sequential loop. Reducing
-    past the rank folds the implicit trailing singleton of core's padded view,
-    so it returns the input's values unchanged.
+    Accumulation is strictly ascending-index, never pairwise (_ascending: one
+    in-place reduce across the lanes, or the slab scan), bit for bit the
+    sequential loop. Reducing past the rank folds the implicit trailing
+    singleton of core's padded view, so it returns the input's values
+    unchanged.
     """
     _choice(kind, ("sum", "prod", "mean"), "reduction")
     _check_dim(dim, "reduction", allowed=(1, 2, 3))
@@ -213,7 +251,11 @@ def extremum(kind: str, a: NumArray, dim: int):
     """Per-slice min or max with the 1-based index of its first occurrence.
 
     NaN entries are skipped; a slice of only NaN reports value NaN and
-    index 1. Ties resolve to the lowest index.
+    index 1. Ties resolve to the lowest index. One fmin/fmax reduce finds
+    each slice's best value, skipping NaN, and one argmax over v == best its
+    first hit: an all-NaN slice has best NaN, so it has no hit and index 1.
+    The value is read back from v, so a tie of -0 and +0 keeps the sign that
+    comes first, and no input-sized float array is built.
     """
     _choice(kind, ("min", "max"), "extremum kind")
     _check_dim(dim, "extremum")
@@ -222,15 +264,8 @@ def extremum(kind: str, a: NumArray, dim: int):
     v = a.view()
     if v.shape[ax] < 1:
         raise ArgumentError("extremum needs extent >= 1 along dim")
-    nan = np.isnan(v)
-    if kind == "min":
-        w = np.where(nan, np.inf, v)
-        best = w.min(axis=ax, keepdims=True)
-    else:
-        w = np.where(nan, -np.inf, v)
-        best = w.max(axis=ax, keepdims=True)
-    hit = (w == best) & ~nan
-    idx0 = np.argmax(hit, axis=ax, keepdims=True)  # first True; 0 when the slice is all NaN
+    best = (np.fmin if kind == "min" else np.fmax).reduce(v, axis=ax, keepdims=True)
+    idx0 = np.argmax(v == best, axis=ax, keepdims=True)
     return wrap_ndarray(np.take_along_axis(v, idx0, ax)), wrap_ndarray(idx0 + 1.0)
 
 

@@ -1,5 +1,6 @@
 """Broadcasting rules, elementwise ops, reductions, extrema, and merge."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -221,6 +222,45 @@ def test_extremum_ignores_nan():
     assert v.item() == np.inf and i.item() == 2
     v, i = extremum("min", from_rows([[float("nan"), float("nan")]]), 2)
     assert np.isnan(v.item()) and i.item() == 1
+
+
+def _loop_extremum(kind, view, dim):
+    """The oracle: each slice walked in ascending order, NaN skipped, the first
+    strict improvement kept; an all-NaN slice gives its first element, index 1."""
+    better = (lambda x, y: x < y) if kind == "min" else (lambda x, y: x > y)
+    v = np.moveaxis(view, dim - 1, 0)
+    vals, idx = np.empty(v.shape[1]), np.empty(v.shape[1])
+    for lane in range(v.shape[1]):
+        at = None
+        for k in range(v.shape[0]):
+            if not math.isnan(v[k, lane]) and (at is None or better(v[k, lane], v[at, lane])):
+                at = k
+        at = 0 if at is None else at
+        vals[lane], idx[lane] = v[at, lane], at + 1  # numpy copies the bits, NaN payload too
+    return np.expand_dims(vals, dim - 1), np.expand_dims(idx, dim - 1)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_extremum_matches_scalar_loop(data):
+    # ties (small integers, +-0 in either order), +-inf, NaNs of both signs
+    # with two payloads (_SCALARS), and slices of only NaN, which the small
+    # extents make common
+    dims = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)))
+    nans = [x for x in _SCALARS if math.isnan(x)]
+    value = st.one_of(
+        st.sampled_from(_SCALARS), st.sampled_from(nans), st.integers(-2, 2).map(float),
+        st.floats(width=64),
+    )
+    n = dims[0] * dims[1]
+    x = np.array(data.draw(st.lists(value, min_size=n, max_size=n))).reshape(dims, order="F")
+    a = wrap_ndarray(x)
+    for kind in ("min", "max"):
+        for dim in (1, 2):
+            v, i = extremum(kind, a, dim)
+            want_v, want_i = _loop_extremum(kind, x, dim)
+            assert_bits(v, want_v, f"{kind} dim {dim}")
+            assert np.array_equal(i.view(), want_i), f"{kind} dim {dim}: {i.view()} != {want_i}"
 
 
 # --- merge and mask algebra ---
@@ -547,6 +587,59 @@ def test_reduce_across_real_slab_boundaries(dims, dim):
             _assert_same_bits(reduce_along_dim(kind, a, dim), _loop_reduce(kind, x, dim))
 
 
+# 1, 2 and many lanes along each dim; dim 1 of a column-major array is the
+# innermost axis, which keeps the scan, and 13 or 11 lanes reach the tail of
+# numpy's vector loop, where the reduce can return the other of two NaNs; then
+# the workloads' sizes: rowBroadcast, a metric block, rgb2gray, a wide matrix
+_LANE_CASES = [
+    ((1, 9), 2), ((9, 1), 1), ((1, 1, 9), 3), ((9, 2), 1), ((2, 9), 2), ((2, 1, 9), 3),
+    ((9, 13), 1), ((13, 9), 2), ((11, 9, 3), 2), ((11, 3, 9), 3), ((3, 11, 9), 3),
+    ((4, 9, 5), 1), ((5, 4, 9), 2),
+    ((300, 5), 2), ((300, 5), 1), ((2000, 5, 26), 2), ((64, 64, 3), 3), ((512, 512), 2),
+]
+
+
+def test_reduce_along_dim_is_the_scan_bit_for_bit_nan_included(monkeypatch):
+    # the parent's bits, NaN sign and payload included: every lane of a laced
+    # input holds two NaNs of different sign or payload, first the one and
+    # then the other, so the reduce's NaN rule would show; a clean input
+    # (no NaN, no infinity) keeps the in-place reduce. A 4-element slab makes
+    # one slice fill a slab (fold), or a short slice span several (carry).
+    scan, routes, reached = ops._scan, [], set()
+
+    def spy(ufunc, v, ax):
+        n = v.shape[ax]
+        rows = max(1, ops._SLAB // (v.size // n))
+        routes.append("fold" if rows == 1 else ("one slab" if n <= rows else "carry"))
+        return scan(ufunc, v, ax)
+
+    monkeypatch.setattr(ops, "_scan", spy)
+    nans = np.array([x for x in _SCALARS if math.isnan(x)])
+    rng = np.random.default_rng(29)
+    for slab, (dims, dim) in itertools.product((4, ops._SLAB), _LANE_CASES):
+        monkeypatch.setattr(ops, "_SLAB", slab)
+        clean = rng.normal(size=dims)
+        odd = rng.random(dims) < 0.2
+        clean[odd] = rng.choice([0.0, -0.0, 1e308, 5e-324], size=odd.sum())
+        laced = clean.copy()
+        v = np.moveaxis(laced, dim - 1, 0)  # a view: writes reach laced
+        at = np.sort(rng.random(v.shape).argsort(axis=0)[:2], axis=0)  # two rows per lane
+        first = rng.integers(0, len(nans), v.shape[1:])
+        other = (first + rng.integers(1, len(nans), v.shape[1:])) % len(nans)
+        np.put_along_axis(v, at[:1], nans[first][None], axis=0)
+        np.put_along_axis(v, at[1:], nans[other][None], axis=0)
+        for x in (clean, laced):
+            a = wrap_ndarray(np.asfortranarray(x))
+            for kind, ufunc in (("sum", np.add), ("prod", np.multiply), ("mean", np.add)):
+                with np.errstate(all="ignore"):
+                    want = scan(ufunc, a.view(), dim - 1) / (dims[dim - 1] if kind == "mean" else 1)
+                k = len(routes)
+                got = reduce_along_dim(kind, a, dim)
+                reached.update(routes[k:] or ["reduce"])  # no scan: the reduce answered
+                assert_bits(got, wrap_ndarray(want), f"{kind} of {dims} along dim {dim}, slab {slab}")
+    assert reached == {"reduce", "fold", "one slab", "carry"}
+
+
 def test_reduce_builds_no_input_sized_scan():
     # a full cumsum of this input would be 8 MB for a 1.6 MB result
     a = Prng(5).normal((400, 5, 500))
@@ -558,3 +651,15 @@ def test_reduce_builds_no_input_sized_scan():
     finally:
         tracemalloc.stop()
     assert peak < 2 * out_bytes + ops._SLAB * 8
+
+
+def test_extremum_builds_no_input_sized_copy():
+    # a NaN-replaced float copy of this input would be its full 8 MB
+    a = Prng(6).normal((2000, 500))
+    tracemalloc.start()
+    try:
+        extremum("min", a, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < a.buf.nbytes / 2
