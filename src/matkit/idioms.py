@@ -191,7 +191,7 @@ def _check_point_sets(x: NumArray, y: NumArray):
 
 
 # Cells of one block's n x d x b intermediates: 2**18 doubles are 2 MiB, the
-# L2 of one core of the 2-vCPU Xeon it was sized on (ROADMAP item 8: the sweep).
+# L2 of one core of the 2-vCPU Xeon it was swept on (CHANGES.md: _METRIC_BLOCK).
 _METRIC_BLOCK = 1 << 18
 
 

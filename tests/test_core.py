@@ -1,6 +1,8 @@
 """Array construction, layout, and rearrangement primitives."""
 
+import ast
 import math
+import operator
 import re
 from pathlib import Path
 
@@ -38,9 +40,10 @@ from matkit import (
     unique_sorted,
     zeros,
 )
+from matkit import indexing, linalg, ops
 from matkit.core import normalize_dims, wrap_ndarray
 
-from helpers import assert_exact
+from helpers import assert_bits, assert_exact
 
 MAGIC4 = [
     [16, 2, 3, 13],
@@ -167,6 +170,19 @@ def test_only_core_knows_the_column_major_layout():
     assert offenders == []
 
 
+def test_no_call_time_imports():
+    # core binds ops, linalg and indexing once, at its end; an import inside a
+    # function or method would run again on every call
+    src = Path(matkit.__file__).parent
+    offenders = [
+        f"{p.name}:{node.lineno}"
+        for p in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node.col_offset > 0
+    ]
+    assert offenders == []
+
+
 def test_only_core_pads_trailing_singletons():
     # every dimension past an array's rank is an implicit singleton; the view
     # padded with them is core._view_at_rank, and no other module builds one
@@ -228,6 +244,53 @@ def test_immutability():
     a = ones((2, 2))
     with pytest.raises(AttributeError):
         a.dims = (4, 1)
+
+
+def test_both_classes_name_themselves_in_repr_and_immutability():
+    a = from_rows([[1.5, -0.0, math.nan], [1 / 3, math.inf, 3.0]])
+    assert repr(a) == "NumArray(2x3)\n[[ 1.5     -0.           nan]\n [ 0.33333      inf  3.     ]]"
+    assert repr(a > 0) == "BoolMask(2x3)\n[[ True False False]\n [ True  True  True]]"
+    assert repr(zeros((2, 0))) == "NumArray(2x0)\n[]"
+    assert repr(zeros((1, 1, 2)) > 0) == "BoolMask(1x1x2)\n[[[False False]]]"
+    for value in (a, a > 0):
+        for attr in ("dims", value._FLAT, "other"):
+            with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+                setattr(value, attr, None)
+
+
+def _assert_same(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, BoolMask):
+        assert got.dims == want.dims and np.array_equal(got.bits, want.bits)
+    else:
+        assert_bits(got, want)
+
+
+def test_each_operator_is_its_kernel_call():
+    a = from_rows([[1.5, -0.0, math.nan], [-2.0, math.inf, 3.0]])
+    b = from_rows([[0.5, -3.0, 2.0]])
+    c = from_rows([[1.0, 2.0], [0.0, -1.0], [4.0, 0.5]])
+    for sym, op in (("+", operator.add), ("-", operator.sub), ("*", operator.mul),
+                    ("/", operator.truediv), ("^", operator.pow)):
+        for x, y in ((a, b), (b, a), (a, 2)):
+            _assert_same(op(x, y), ops.ew_binary(sym, x, y))
+        if sym != "^":  # NumArray has no __rpow__
+            _assert_same(op(2, a), ops.ew_binary(sym, 2, a))
+    _assert_same(-a, ops.ew_unary("neg", a))
+    _assert_same(a @ c, linalg.matmul(a, c))
+    _assert_same(a[4], indexing.extract(a, indexing.IndexExpr.linear(4)))
+    _assert_same(a[2, 3], indexing.extract(a, indexing.IndexExpr.of(2, 3)))
+    for sym, op in (("<", operator.lt), ("<=", operator.le), (">", operator.gt),
+                    (">=", operator.ge), ("==", operator.eq), ("!=", operator.ne)):
+        for x, y in ((a, b), (b, a), (a, 2)):
+            _assert_same(op(x, y), ops.compare(sym, x, y))
+    # against a non-number, == and != fall back to Python's identity answer
+    for other in ("x", None, [1.0]):
+        assert (a == other) is False and (a != other) is True
+    m, n = a > 0, b < 1
+    _assert_same(m | n, ops.mask_or(m, n))
+    _assert_same(m & n, ops.mask_and(m, n))
+    _assert_same(~m, ops.mask_not(m))
 
 
 # --- colon ranges ---
