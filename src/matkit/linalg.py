@@ -6,9 +6,13 @@ bit-for-bit identical to the sequential scalar loop over the same data.
 matmul only checks its operands and wraps the result: _product, on plain
 ndarrays, is the one fold, and idioms' block DCT calls it directly, so a
 sandwich T X T' checks and wraps once. _product forms the outer products of a
-slab of inner indices in broadcast multiplies. It folds the first slab in one
-np.add.reduce from -0.0, which numpy sums one slab row at a time, and each
-later slab in one in-place add per index (ops._fold_into). dot, and a
+slab of inner indices in broadcast multiplies: one for the first slab when
+the result's rows are a multiple of 8 long, else a 2-D multiply for the first
+index and one for the rest, so where two NaNs meet each product keeps the one
+that numpy's 2-D loop keeps. It folds the first slab in one np.add.reduce
+from -0.0, which numpy sums one slab row at a time, and each later slab in
+one in-place add per index (ops._fold_into). A slab used once and no larger
+than 32 KiB is a plain np.empty; others are cache-line aligned. dot, and a
 1 x k by k x 1 product, stay on ops._ascending, whose scan takes one Python
 step per slab rather than per index.
 
@@ -37,6 +41,13 @@ from .core import (
     wrap_ndarray,
 )
 from .errors import ArgumentError, ConvergenceError, ShapeError, SingularMatrixError
+
+
+# A slab of at most this many doubles (32 KiB), which _product uses once, comes
+# from plain np.empty: it fits a 48 KiB L1d, where _line_aligned's extra calls
+# cost more than the straddled stores. Beyond it, 24^3, 16 x 64 x 16 and
+# 8 x 256 x 8 ran 8-11% slower unaligned.
+_UNALIGNED = 1 << 12
 
 
 def _line_aligned(shape) -> np.ndarray:
@@ -76,16 +87,25 @@ def _product(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     into +0.0. The first slab is folded by one np.add.reduce along its
     leading axis from -0.0, the exact identity of +, and numpy sums such a
     strided axis one row at a time, so each lane is the ascending fold. A
-    first slab of one product is the accumulator itself. Each later slab is
-    formed by one broadcast multiply and added one in-place step per k.
+    first slab of one product is the accumulator itself, and for k = 1 the
+    result. Each later slab is formed by one broadcast multiply and added one
+    in-place step per k.
 
     A 1 x 1 result is summed as dot sums it (ops._ascending), since numpy's
     reduce would sum its one lane pairwise. Each product is row-major m x n, as np.outer
     lays it out, so each entry meets the same lane of numpy's vector loops:
     an n x m slab was faster on square shapes but moved entries into a loop
-    tail, which returns the other operand when two NaNs meet. The k = 1
-    product has its own 2-D multiply whatever the slab size, since numpy's
-    2-D and 3-D broadcast loops can return different operands there too.
+    tail, which returns the other operand when two NaNs meet. The first slab
+    is formed by one 3-D multiply when n is a multiple of 8. Otherwise its
+    k = 1 product has its own 2-D multiply, since where two NaNs meet numpy's
+    2-D broadcast loop returns the other operand's in its scalar tail, the
+    product's last m*n mod 8 entries (and elsewhere when n = 1), and the 3-D
+    loop need not. With n a multiple of 8 the two loops agree.
+
+    The slab is 64-byte aligned (_line_aligned), except when all k products
+    fit in _UNALIGNED doubles: such a slab is used once, since a slab of r
+    products holds more than ops._SLAB // 2, and there, as in every 8 x 8
+    block DCT product, alignment cost more than it saved.
 
     The caller holds np.errstate(all="ignore"), so that inf - inf is NaN and
     an overflow is inf, as IEEE-754 says: the block DCT enters it once for
@@ -100,11 +120,18 @@ def _product(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     r = max(1, ops._SLAB // (m * n))
     if min(r, k) == 1:  # a first slab of one product is the accumulator
         acc = np.multiply(at[0, :, None], vb[0, None, :])
-        slab = _line_aligned((min(r, k - 1), m, n))
-    else:  # the k = 1 product by the same 2-D multiply: see the docstring
-        slab = _line_aligned((min(r, k), m, n))
-        np.multiply(at[0, :, None], vb[0, None, :], out=slab[0])
-        np.multiply(at[1:r, :, None], vb[1:r, None, :], out=slab[1:])
+        if k == 1:  # and the result: no later slab to form
+            return acc
+        slab = _line_aligned((1, m, n))
+    else:
+        f = min(r, k)  # the first slab's k-slices
+        small = k * m * n <= _UNALIGNED  # then k <= r: see the docstring
+        slab = np.empty((f, m, n)) if small else _line_aligned((f, m, n))
+        if n % 8:  # the k = 1 product by numpy's 2-D multiply: see the docstring
+            np.multiply(at[0, :, None], vb[0, None, :], out=slab[0])
+            np.multiply(at[1:f, :, None], vb[1:f, None, :], out=slab[1:])
+        else:
+            np.multiply(at[:f, :, None], vb[:f, None, :], out=slab)
         acc = np.add.reduce(slab, axis=0, initial=-0.0)
     for k0 in range(r, k, r):  # slab[t, i, j] = a[i, k0+t] * b[k0+t, j]
         s = slab[:k - k0]

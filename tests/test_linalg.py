@@ -29,7 +29,7 @@ from matkit import (
     spdiags_extract,
     zeros,
 )
-from matkit import ops
+from matkit import linalg, ops
 from matkit.bench import Prng
 from matkit.core import wrap_ndarray
 from matkit.idioms import pca
@@ -242,6 +242,74 @@ def test_a_product_of_one_k_slice_is_its_outer_product():
     _assert_loop_bits(matmul(a, b), _loop_matmul(a, b))
 
 
+def _two_multiply_fold(av, bv) -> np.ndarray:
+    """The reference fold for k >= 2 and 2 <= m*n <= ops._SLAB // 2: the
+    k = 1 product always by its own 2-D multiply, the rest of the first slab
+    by a 3-D one, one reduce from -0.0, then each later slab added in place,
+    one k at a time."""
+    (m, k), n = av.shape, bv.shape[1]
+    at, vb = av.T, np.ascontiguousarray(bv)
+    r = ops._SLAB // (m * n)
+    slab = np.empty((min(r, k), m, n))
+    np.multiply(at[0, :, None], vb[0, None, :], out=slab[0])
+    np.multiply(at[1:r, :, None], vb[1:r, None, :], out=slab[1:])
+    acc = np.add.reduce(slab, axis=0, initial=-0.0)
+    for k0 in range(r, k, r):
+        s = slab[:k - k0]
+        np.multiply(at[k0:k0 + r, :, None], vb[k0:k0 + r, None, :], out=s)
+        for t in s:
+            np.add(acc, t, acc)
+    return acc
+
+
+def _nan_laced(rng, r, c, k1) -> np.ndarray:
+    """r x c decimals with ±0, ±inf, ±1e308 and NaNs of both signs and many
+    payloads. Half of the k = 1 line k1 (a's first column or b's first row)
+    is NaN, so that two NaNs meet in many k = 1 products. The layout is C,
+    Fortran or reversed strides."""
+    x = rng.integers(-10**6, 10**6, size=(r, c)) / 100
+    hit = rng.random(x.shape) < 0.1
+    x[hit] = rng.choice([0.0, -0.0, math.inf, -math.inf, 1e308, -1e308], size=int(hit.sum()))
+    hit = rng.random(x.shape) < 0.05
+    hit[k1] |= rng.random(hit[k1].shape) < 0.5
+    sign = rng.integers(0, 2, int(hit.sum()), dtype=np.uint64) << np.uint64(63)
+    payload = rng.integers(1, 1 << 40, int(hit.sum()), dtype=np.uint64)
+    x[hit] = (sign | np.uint64(0x7FF8 << 48) | payload).view(np.float64)
+    layout = rng.integers(3)
+    if layout == 1:
+        return np.asfortranarray(x)
+    return np.ascontiguousarray(x[::-1, ::-1])[::-1, ::-1] if layout == 2 else x
+
+
+def test_product_keeps_the_two_multiply_bits_nan_included():
+    # one 3-D multiply forms the first slab only when n is a multiple of 8:
+    # otherwise numpy's 2-D loop returns the other NaN in its scalar tail.
+    # Single slabs fall on both sides of the 2**12 doubles below which they
+    # are not line-aligned; with k > r the first slab is one of several.
+    rng = np.random.default_rng(24)
+    with np.errstate(all="ignore"):
+        for trial in range(800):
+            n = int(rng.choice([8, 16, 24, 32] if trial % 2 else [1, 2, 3, 4, 5, 7, 12, 13, 20]))
+            m = int(rng.integers(1 if n > 1 else 2, 13))
+            r = ops._SLAB // (m * n)
+            k = int(rng.integers(2, min(r, 200) + 1)) if trial % 3 else int(rng.integers(r + 1, 2 * r + 9))
+            av, bv = _nan_laced(rng, m, k, np.s_[:, 0]), _nan_laced(rng, k, n, np.s_[0])
+            assert_bits(linalg._product(av, bv), _two_multiply_fold(av, bv), f"{m}x{k}x{n}")
+
+
+def test_only_reused_or_large_slabs_are_line_aligned(monkeypatch):
+    # a slab used once that holds at most 2**12 doubles fits L1, where
+    # alignment cost more than it saved; a k = 1 product needs no slab
+    shapes = []
+    real = linalg._line_aligned
+    monkeypatch.setattr(linalg, "_line_aligned", lambda shape: shapes.append(shape) or real(shape))
+    for (m, k, n), aligned in [((80, 400, 80), True), ((200, 200, 200), True), ((24, 24, 24), True),
+                               ((8, 8, 8), False), ((8, 64, 8), False), ((5, 1, 7), False)]:
+        shapes.clear()
+        matmul(Prng(m).normal((m, k)), Prng(n + 1).normal((k, n)))
+        assert bool(shapes) == aligned, (m, k, n, shapes)
+
+
 @pytest.mark.parametrize("transform, inverse", [(dct2d, False), (idct2d, True)])
 def test_dct_sandwich_is_the_ascending_loop_bit_for_bit(transform, inverse):
     # T X T' (T' Y T for the inverse) through two products, each the
@@ -269,6 +337,13 @@ def test_products_give_ieee_results_without_warnings():
     assert dot(big, col) == inf
     assert dot(from_rows([[1e200]]), from_rows([[1e200]])) == inf
     assert_exact(matmul(big, col), [[inf]])
+    # a single slab with rows of 8, formed by one 3-D multiply: 1e308 + 1e308
+    # overflows in the reduce, and inf * 0 is NaN in the multiply
+    a = from_rows([[1e308, 1e308, 1.0], [inf, 2.0, 1.0]])
+    b = from_rows([[1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], [1.0] * 8, [1.0] * 8])
+    got = matmul(a, b)
+    assert got.view()[0, 0] == inf and math.isnan(got.view()[1, 1])
+    _assert_loop_bits(got, _loop_matmul(a, b))
 
 
 # --- dot ---
