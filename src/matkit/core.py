@@ -592,7 +592,9 @@ def cat(dim: int, arrays) -> NumArray:
         for ax, (d0, d1) in enumerate(zip(base, v.shape)):
             if ax != axis and d0 != d1:
                 raise ShapeError(f"cat along dim {dim}: extents differ on dim {ax + 1}")
-    return wrap_ndarray(np.concatenate(views, axis=axis))
+    # the transposed views joined row-major are the result in column-major order,
+    # so wrap_ndarray copies nothing
+    return wrap_ndarray(np.concatenate([v.T for v in views], axis=len(base) - 1 - axis).T)
 
 
 def repmat(a: NumArray, reps_rows: int, reps_cols: int) -> NumArray:

@@ -10,7 +10,14 @@ explicit list, or a BoolMask with one bit per position (``A(A < 8)`` is
 ``A(find(A < 8))``); scalar positions may be written relative to the end of
 the dimension via END, e.g. ``span(END - 1, END)`` for Octave's
 ``end-1:end``. Extraction, assignment and deletion all act on those
-positions in the flat buffer. Linear extraction keeps the index
+positions in the flat buffer. A Cartesian expression with one selector per
+dimension, each ALL, an in-range int or END-k, or a nonempty span inside its
+extent (``A(i, :)``, ``A(:, 2:2:end)``, ``A(j0:j1, :)``), selects a box
+that numpy basic slices of the array's view address: extraction, assignment
+and deletion act through those slices and build no position array. Every
+other expression, and every error, goes through the positions. Either way an
+extraction is a copy that shares no memory with the array, and an
+assignment returns a new array. Linear extraction keeps the index
 expression's own shape (a range reads as a row) except ALL and a mask, which
 always yield a column. Assignment takes a scalar rhs, or in the linear form
 one element per selected cell (Octave's ``A(I) = B``), in the Cartesian form
@@ -73,12 +80,17 @@ class Span:
         self.stop = stop
         self.step = step
 
+    def _ends(self, extent: int) -> tuple:
+        """start and stop as ints, END-relative ones resolved against extent."""
+        start, stop = self.start, self.stop
+        return (start.resolve(extent) if isinstance(start, End) else int(start),
+                stop.resolve(extent) if isinstance(stop, End) else int(stop))
+
     def resolve(self, extent: int) -> list:
         """The positions in order, up to and including the first outside
         1..extent: the bounds check names that one, and no list longer than
         the extent plus one is built."""
-        start = self.start.resolve(extent) if isinstance(self.start, End) else int(self.start)
-        stop = self.stop.resolve(extent) if isinstance(self.stop, End) else int(self.stop)
+        start, stop = self._ends(extent)
         if self.step > 0:
             whole = range(start, stop + 1, self.step)
             inside = range(start, min(stop, extent) + 1, self.step)
@@ -142,6 +154,27 @@ def _resolve_selector(sel, extent: int, what: str) -> np.ndarray:
     return vals.astype(np.intp) - 1
 
 
+def _basic_slice(sel, extent: int):
+    """A selector as a numpy basic slice over 0..extent-1, when it is ALL, an
+    in-range int or END-k, or a nonempty span inside 1..extent; else None."""
+    if sel is ALL:
+        return slice(None)
+    if isinstance(sel, End):
+        sel = sel.resolve(extent)
+    if _is_int(sel):
+        return slice(sel - 1, sel) if 1 <= sel <= extent else None
+    if not isinstance(sel, Span):
+        return None
+    start, stop = sel._ends(extent)
+    step = sel.step
+    whole = range(start, stop + (1 if step > 0 else -1), step)
+    last = whole[-1] if whole else 0
+    if not 1 <= min(start, last) <= max(start, last) <= extent:
+        return None
+    end = last - 1 + step  # one step past the last position, 0-based
+    return slice(start - 1, end if end >= 0 else None, step)  # a negative end would wrap
+
+
 class IndexExpr:
     """Per-dimension selectors, or one linear selector over the flattening."""
 
@@ -194,9 +227,21 @@ class IndexExpr:
         ]
         return _linear_positions(a.dims, per_dim), _trim(tuple(p.size for p in per_dim))
 
+    def _slices(self, a: NumArray):
+        """The Cartesian selection as basic slices of a.view(), one per
+        dimension, or None: for the linear form, a wrong rank or any selector
+        _basic_slice does not take, which _positions resolves (or refuses)."""
+        if self.is_linear or len(self.selectors) != a.rank:
+            return None
+        slices = tuple(map(_basic_slice, self.selectors, a.dims))
+        return None if None in slices else slices
+
 
 def extract(a: NumArray, ix: IndexExpr) -> NumArray:
     """The elements at the selected positions, shaped as the selection."""
+    slices = ix._slices(a)
+    if slices is not None:  # a copy in the view's own layout, which wrap_ndarray keeps
+        return wrap_ndarray(a.view()[slices].copy(order="K"))
     pos, dims = ix._positions(a)
     return wrap_ndarray(_shaped(a.buf[pos], dims))  # dims are normalized already
 
@@ -231,6 +276,13 @@ def assign_indexed(a: NumArray, ix: IndexExpr, rhs) -> NumArray:
         grown[: a.numel] = a.buf
         grown[k - 1] = float(rhs)
         return NumArray(_vector_dims(a, k), grown)
+    slices = ix._slices(a)
+    if slices is not None:
+        shape = a.view()[slices].shape
+        if scalar_rhs or rhs.dims == _trim(shape):  # else the body below names the mismatch
+            buf = a.buf.copy()
+            _shaped(buf, a.dims)[slices] = float(rhs) if scalar_rhs else _shaped(rhs.buf, shape)
+            return NumArray(a.dims, buf)
     pos, sel_dims = ix._positions(a)
     if not scalar_rhs:
         if ix.is_linear and rhs.numel != pos.size:
@@ -258,7 +310,11 @@ def delete_elements(a: NumArray, where) -> NumArray:
         drop = _mask_bits(sel, a.numel, "linear index")
     else:
         drop = np.zeros(a.numel, dtype=bool)
-        drop[where._positions(a)[0]] = True
+        slices = where._slices(a)
+        if slices is None:
+            drop[where._positions(a)[0]] = True
+        else:
+            _shaped(drop, a.dims)[slices] = True
     kept = a.buf[~drop]
     return NumArray(_vector_dims(a, kept.size), kept)
 

@@ -542,6 +542,23 @@ def test_cat_examples():
         cat(2, [a, ones((3, 1))])
 
 
+def test_cat_keeps_the_class_along_both_dims():
+    a = from_rows([[1, -0.0], [3, 4]])
+    b = from_rows([[5, 6], [7, 8]])
+    for dim in (1, 2):
+        got = cat(dim, [a, b])
+        assert type(got) is NumArray
+        assert_bits(got, np.concatenate([a.view(), b.view()], axis=dim - 1))
+        got = cat(dim, [a > 2, b > 6])
+        assert type(got) is BoolMask
+        assert np.array_equal(got.view(), np.concatenate([a.view() > 2, b.view() > 6], axis=dim - 1))
+        assert type(cat(dim, [a, b > 6])) is NumArray
+    x, y = magic(4).T, magic(4)
+    x3, y3 = reshape(x, (2, 4, 2)), reshape(y, (2, 4, 2))
+    for dim in (1, 2):
+        assert_bits(cat(dim, [x3, y3]), np.concatenate([x3.view(), y3.view()], axis=dim - 1))
+
+
 def test_replicate():
     assert_exact(repmat(from_rows([[1, 2]]), 2, 1), [[1, 2], [1, 2]])
     assert_exact(repelems(from_rows([[5, 7]]), [2, 3]), [[5, 5, 7, 7, 7]])

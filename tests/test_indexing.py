@@ -32,6 +32,7 @@ from matkit import (
     span,
     zeros,
 )
+from matkit import core, indexing
 from matkit.core import _is_int, normalize_dims, wrap_ndarray
 from matkit.indexing import End, _is_scalar_rhs, _mask_bits, _resolve_selector
 
@@ -690,6 +691,90 @@ def test_one_flat_body_matches_the_former_linear_and_cartesian_bodies(aix, data)
                                                  max_size=math.prod(shape))))
     got = _outcome(lambda: assign_indexed(a, ix, rhs))
     assert got == _outcome(lambda: _former_assign_indexed(a, ix, rhs))
+
+
+# --- selections of ints, ALL and spans go through basic slices ---
+
+def _count_position_grids(monkeypatch):
+    """Calls of core._linear_positions made from indexing, the only caller."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return core._linear_positions(*args)
+
+    monkeypatch.setattr(indexing, "_linear_positions", spy)
+    return calls
+
+
+def _ramp(dims):
+    return NumArray(dims, np.arange(1.0, math.prod(dims) + 1))
+
+
+def _same_as_the_position_body(a, ix):
+    """extract, delete and scalar and shaped assignment agree with the former bodies."""
+    got = _outcome(lambda: extract(a, ix))
+    assert got == _outcome(lambda: _former_extract(a, ix))
+    assert _outcome(lambda: delete_elements(a, ix)) == _outcome(lambda: _former_delete_elements(a, ix))
+    rhs = NumArray(got[0], -np.arange(1.0, math.prod(got[0]) + 1)) if isinstance(got[0], tuple) else 7.0
+    for value in (-0.0, rhs):
+        assert _outcome(lambda: assign_indexed(a, ix, value)) == \
+            _outcome(lambda: _former_assign_indexed(a, ix, value))
+
+
+def test_ints_all_and_spans_build_no_position_array(monkeypatch):
+    calls = _count_position_grids(monkeypatch)
+    a = _ramp((30, 5))
+    for ix in (IndexExpr.of(7, ALL), IndexExpr.of(span(3, 28), ALL),
+               IndexExpr.of(ALL, span(2, END, 2)), IndexExpr.of(span(END, 1, -1), ALL),
+               IndexExpr.of(END - 1, span(5, 1, -2))):
+        _same_as_the_position_body(a, ix)
+    even = IndexExpr.of(ALL, span(2, END, 2))
+    flipped = assign_indexed(a, even, flipud(extract(a, even)))
+    assert_exact(flipped, _former_assign_indexed(a, even, flipud(_former_extract(a, even))).view())
+    assert calls == []
+    for sel in ([7, 2], from_rows([[7, 2]]), _ramp((30, 1)) > 20):
+        _same_as_the_position_body(a, IndexExpr.of(sel, ALL))
+        assert len(calls) >= 1
+        calls.clear()
+
+
+def test_slice_selections_at_rank_3_and_4(monkeypatch):
+    calls = _count_position_grids(monkeypatch)
+    # steps that do not land on stop, reversed spans and END-relative ends
+    for dims, ix in (
+        ((4, 3, 5), IndexExpr.of(span(1, 4, 2), ALL, span(5, 1, -3))),
+        ((4, 3, 5), IndexExpr.of(END, span(2, 3), span(1, 5, 3))),
+        ((4, 3, 5), IndexExpr.of(ALL, 2, 4)),
+        ((3, 2, 4, 2), IndexExpr.of(span(3, 1, -1), 2, span(2, END, 3), ALL)),
+        ((3, 2, 4, 2), IndexExpr.of(ALL, ALL, ALL, 1)),
+    ):
+        _same_as_the_position_body(_ramp(dims), ix)
+    assert calls == []
+
+
+def test_spans_past_either_end_name_their_first_outside_position():
+    a = _ramp((4, 3, 5))
+    for ix, named in (
+        (IndexExpr.of(span(0, 3), ALL, 1), "dimension 1: index 0 out of range 1..4"),
+        (IndexExpr.of(span(2, 6), ALL, 1), "dimension 1: index 5 out of range 1..4"),
+        (IndexExpr.of(1, span(3, -1, -2), 1), "dimension 2: index -1 out of range 1..3"),
+        (IndexExpr.of(1, 1, span(END - 5, END)), "dimension 3: index 0 out of range 1..5"),
+        (IndexExpr.of(1, 1, span(2, 9, 3)), "dimension 3: index 8 out of range 1..5"),
+        (IndexExpr.of(ALL, span(4, 1, -1), ALL), "dimension 2: index 4 out of range 1..3"),
+    ):
+        for call in (lambda: extract(a, ix), lambda: delete_elements(a, ix),
+                     lambda: assign_indexed(a, ix, 0.0)):
+            with pytest.raises(IndexBoundsError) as err:
+                call()
+            assert str(err.value) == named
+        _same_as_the_position_body(a, ix)
+
+
+def test_extract_of_a_column_block_is_a_copy():
+    a = _ramp((6, 5))
+    for ix in (IndexExpr.of(ALL, span(2, 4)), IndexExpr.of(ALL, 3), IndexExpr.of(ALL, ALL)):
+        assert not np.shares_memory(extract(a, ix).buf, a.buf)
 
 
 # --- any / all / isnan ---
