@@ -210,12 +210,6 @@ def _allocated(what: str, make, *args, **kwargs):
         raise ArgumentError(f"{what} is too large to allocate") from None
 
 
-def _set_slots(obj, dims: tuple, flat: np.ndarray):
-    """Fill an immutable value's two slots: its dims and its flat buffer."""
-    object.__setattr__(obj, "dims", dims)
-    object.__setattr__(obj, type(obj)._FLAT, flat)
-
-
 def _init_checked(obj, dims, flat):
     """The validating body of NumArray(dims, buf) and BoolMask(dims, bits)."""
     dims = normalize_dims(dims)
@@ -224,7 +218,8 @@ def _init_checked(obj, dims, flat):
         raise ShapeError(
             f"buffer has {flat.size} elements but shape {dims} needs {math.prod(dims)}"
         )
-    _set_slots(obj, dims, flat)
+    object.__setattr__(obj, "dims", dims)  # below the immutability of _Value.__setattr__
+    object.__setattr__(obj, type(obj)._FLAT, flat)
 
 
 class _Value:
@@ -397,13 +392,32 @@ class BoolMask(_Value):
         raise TypeError("BoolMask has no single truth value; use any_true/all_true")
 
 
+# The slot descriptors' setters, bound once: wrap_ndarray fills a new value's
+# slots through them, below the immutability of _Value.__setattr__, without
+# object.__setattr__'s lookup of the slot by name on every call.
+_set_dims, _set_buf, _set_bits = _Value.dims.__set__, NumArray.buf.__set__, BoolMask.bits.__set__
+
+
 def wrap_ndarray(arr: np.ndarray):
     """The trusted constructor, without __init__'s checks: an nd numpy result of
-    rank >= 2 as a float64 NumArray, or as a BoolMask when it is bool."""
-    if arr.ndim < 2:
-        raise ShapeError("internal: wrap_ndarray needs rank >= 2")
-    out = object.__new__(BoolMask if arr.dtype == np.bool_ else NumArray)
-    _set_slots(out, _trim(arr.shape), np.asarray(arr.ravel(order="F"), dtype=out._DTYPE))
+    rank >= 2 as a float64 NumArray, or as a BoolMask when it is bool.
+
+    It runs on every kernel result, so it sets the two slots through the
+    descriptors' bound setters (_set_dims and _set_buf or _set_bits), and a
+    rank-2 shape, which has no trailing singleton to drop, skips _trim.
+    """
+    dims = arr.shape
+    if len(dims) != 2:
+        if len(dims) < 2:
+            raise ShapeError("internal: wrap_ndarray needs rank >= 2")
+        dims = _trim(dims)
+    if arr.dtype.kind == "b":  # bool
+        out = object.__new__(BoolMask)
+        _set_bits(out, arr.ravel("F"))  # order by position: no keyword parsing
+    else:
+        out = object.__new__(NumArray)
+        _set_buf(out, np.asarray(arr.ravel("F"), dtype=np.float64))
+    _set_dims(out, dims)
     return out
 
 

@@ -153,10 +153,14 @@ def pca(x: NumArray) -> Tuple[NumArray, NumArray, NumArray]:
 def distance_matrix(p: NumArray, strategy: str = "fullBroadcast") -> NumArray:
     """All pairwise Euclidean distances between the rows of p.
 
-    Three strategies with bit-identical results: 'loop3' (three nested
-    scalar loops filling both triangles by symmetry), 'rowBroadcast' (one
-    loop over reference points, each broadcast against every row into one
-    column, the columns joined once), and 'fullBroadcast' (no loop at all).
+    Three strategies: 'loop3' (three nested scalar loops filling both
+    triangles by symmetry), 'rowBroadcast' (one loop over reference points,
+    each broadcast against every row into one column, the columns joined
+    once), and 'fullBroadcast' (no loop at all). On NaN-free input their
+    results are bit-identical. With NaN they agree on where the NaNs are,
+    not always on their bits: loop3 copies entry (i, j) into (j, i), which
+    then holds the NaN of p_i - p_j, where both broadcast strategies compute
+    p_j - p_i.
     """
     _check_rank2(p, "distance_matrix")
     _choice(strategy, ("loop3", "rowBroadcast", "fullBroadcast"), "distance strategy")
@@ -326,11 +330,13 @@ def blockproc(a: NumArray, block_shape, f: Callable[[NumArray], NumArray]) -> Nu
     nn = ((n + c - 1) // c) * c
     padded, out = _allocated(f"blockproc padding of {a.dims} to {mm}x{nn}", np.zeros, (2, mm, nn))
     padded[:m, :n] = a.view()
-    for bi in range(mm // r):
-        for bj in range(nn // c):
-            tile = wrap_ndarray(padded[bi * r:(bi + 1) * r, bj * c:(bj + 1) * c])
+    cols = [slice(j, j + c) for j in range(0, nn, c)]
+    for i in range(0, mm, r):
+        rows = slice(i, i + r)
+        for cs in cols:
+            tile = wrap_ndarray(padded[rows, cs])
             res = _returned(f(tile), tile.dims, "block function")
-            out[bi * r:(bi + 1) * r, bj * c:(bj + 1) * c] = res.view()
+            out[rows, cs] = res.view()
     return wrap_ndarray(out)
 
 

@@ -10,11 +10,13 @@ slab of inner indices in broadcast multiplies: one for the first slab when
 the result's rows are a multiple of 8 long, else a 2-D multiply for the first
 index and one for the rest, so where two NaNs meet each product keeps the one
 that numpy's 2-D loop keeps. It folds the first slab in one np.add.reduce
-from -0.0, which numpy sums one slab row at a time, and each later slab in
-one in-place add per index (ops._fold_into). A slab used once and no larger
-than 32 KiB is a plain np.empty; others are cache-line aligned. dot, and a
-1 x k by k x 1 product, stay on ops._ascending, whose scan takes one Python
-step per slab rather than per index.
+from -0.0, which numpy sums one slab row at a time; a later slab of many
+indices is reduced the same way with the running sum as its row 0, and one
+of few is added one in-place step per index (ops._fold_into). When every
+product fits one slab of at most 32 KiB, that slab is a plain np.empty and
+no slab is counted; others are cache-line aligned. dot, and a 1 x k by k x 1
+product, stay on ops._ascending, whose scan takes one Python step per slab
+rather than per index.
 
 The eigensolver is a parallel Jacobi iteration. Its sweeps follow the circle
 method, one index fixed and the others rotating, and each round rotates a
@@ -43,11 +45,13 @@ from .core import (
 from .errors import ArgumentError, ConvergenceError, ShapeError, SingularMatrixError
 
 
-# A slab of at most this many doubles (32 KiB), which _product uses once, comes
-# from plain np.empty: it fits a 48 KiB L1d, where _line_aligned's extra calls
-# cost more than the straddled stores. Beyond it, 24^3, 16 x 64 x 16 and
-# 8 x 256 x 8 ran 8-11% slower unaligned.
-_UNALIGNED = 1 << 12
+# A later slab of at least this many k-slices is folded by one np.add.reduce
+# from -0.0 with the running sum as its row 0; a slab of fewer is added one
+# in-place step per k. On slabs of ops._SLAB doubles (2-vCPU Xeon, numpy
+# 2.4.6, best of 7, three runs) the reduce, with the copy of the running sum,
+# took 1.6-2.1x the in-place steps' time at 2 slices, 0.95-1.05x at 5,
+# 0.77-0.86x at 6, 0.46-0.48x at 16 and 0.03-0.04x at 8192.
+_REDUCE_SLICES = 6
 
 
 def _line_aligned(shape) -> np.ndarray:
@@ -81,15 +85,16 @@ def _product(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     """The one product fold: av @ bv for conforming 2-D float64 ndarrays, each
     entry summed in ascending k, as a new row-major m x n ndarray.
 
-    The k-slices come in slabs of r = max(1, ops._SLAB // (m*n)); once m*n
+    A k = 1 product is its outer product, by numpy's 2-D multiply. Otherwise
+    the k-slices come in slabs of r = max(1, ops._SLAB // (m*n)); once m*n
     exceeds ops._SLAB // 2, a slab is one k-slice. Each entry's sum starts
     from its k = 1 product, as dot's does: from +0.0 it would turn a -0.0 sum
     into +0.0. The first slab is folded by one np.add.reduce along its
     leading axis from -0.0, the exact identity of +, and numpy sums such a
     strided axis one row at a time, so each lane is the ascending fold. A
-    first slab of one product is the accumulator itself, and for k = 1 the
-    result. Each later slab is formed by one broadcast multiply and added one
-    in-place step per k.
+    later slab of at least _REDUCE_SLICES k-slices is folded the same way,
+    with the running sum copied into its row 0 ahead of its products; a
+    later slab of fewer is added one in-place step per k (ops._fold_into).
 
     A 1 x 1 result is summed as dot sums it (ops._ascending), since numpy's
     reduce would sum its one lane pairwise. Each product is row-major m x n, as np.outer
@@ -102,10 +107,12 @@ def _product(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     product's last m*n mod 8 entries (and elsewhere when n = 1), and the 3-D
     loop need not. With n a multiple of 8 the two loops agree.
 
-    The slab is 64-byte aligned (_line_aligned), except when all k products
-    fit in _UNALIGNED doubles: such a slab is used once, since a slab of r
-    products holds more than ops._SLAB // 2, and there, as in every 8 x 8
-    block DCT product, alignment cost more than it saved.
+    When all k products fit in a quarter of ops._SLAB (2**12 doubles, 32 KiB,
+    inside a 48 KiB L1d), they are one slab, since then k <= r, and no slab
+    is counted. That slab is a plain np.empty, as in every 8 x 8 block DCT
+    product, where _line_aligned's extra calls cost more than the straddled
+    stores. Any other slab is 64-byte aligned (_line_aligned): unaligned,
+    24^3, 16 x 64 x 16 and 8 x 256 x 8 ran 8-11% slower.
 
     The caller holds np.errstate(all="ignore"), so that inf - inf is NaN and
     an overflow is inf, as IEEE-754 says: the block DCT enters it once for
@@ -116,27 +123,35 @@ def _product(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
         return np.zeros((m, n))
     if m * n == 1:  # one lane, which numpy's reduce would sum pairwise: dot's scan
         return ops._ascending(np.add, av[0] * bv[:, 0], 0).reshape(1, 1)
-    at, vb = av.T, np.ascontiguousarray(bv)  # rows of both contiguous
-    r = max(1, ops._SLAB // (m * n))
-    if min(r, k) == 1:  # a first slab of one product is the accumulator
-        acc = np.multiply(at[0, :, None], vb[0, None, :])
-        if k == 1:  # and the result: no later slab to form
-            return acc
-        slab = _line_aligned((1, m, n))
+    at, vb = av.T[:, :, None], np.ascontiguousarray(bv)[:, None, :]  # a[:, k] as m x 1, b[k, :] as 1 x n
+    if k == 1:  # the one product is the result
+        return np.multiply(at[0], vb[0])
+    if 4 * k * m * n <= ops._SLAB:  # one plain slab holds every product: see the docstring
+        r, row0, slab = k, 0, np.empty((k, m, n))
+        first, af, bf = slab, at, vb
     else:
-        f = min(r, k)  # the first slab's k-slices
-        small = k * m * n <= _UNALIGNED  # then k <= r: see the docstring
-        slab = np.empty((f, m, n)) if small else _line_aligned((f, m, n))
+        r = max(1, ops._SLAB // (m * n))
+        row0 = int(r >= _REDUCE_SLICES)  # later slabs hold the running sum in row 0
+        f = min(r, k)
+        slab = _line_aligned((f + row0, m, n))
+        first, af, bf = slab[:f], at[:f], vb[:f]
+    if r == 1:  # a first slab of one product is the accumulator
+        acc = np.multiply(at[0], vb[0])
+    else:
         if n % 8:  # the k = 1 product by numpy's 2-D multiply: see the docstring
-            np.multiply(at[0, :, None], vb[0, None, :], out=slab[0])
-            np.multiply(at[1:f, :, None], vb[1:f, None, :], out=slab[1:])
+            np.multiply(af[0], bf[0], first[0])  # out by position: no keyword parsing
+            np.multiply(af[1:], bf[1:], first[1:])
         else:
-            np.multiply(at[:f, :, None], vb[:f, None, :], out=slab)
-        acc = np.add.reduce(slab, axis=0, initial=-0.0)
-    for k0 in range(r, k, r):  # slab[t, i, j] = a[i, k0+t] * b[k0+t, j]
-        s = slab[:k - k0]
-        np.multiply(at[k0:k0 + r, :, None], vb[k0:k0 + r, None, :], out=s)
-        ops._fold_into(np.add, acc, s)
+            np.multiply(af, bf, first)
+        acc = np.add.reduce(first, axis=0, initial=-0.0)
+    for k0 in range(r, k, r):  # slab[row0 + t] = a[:, k0+t] b[k0+t, :]
+        s = slab[row0:row0 + k - k0]
+        np.multiply(at[k0:k0 + r], vb[k0:k0 + r], s)
+        if row0:
+            slab[0] = acc
+            np.add.reduce(slab[:1 + k - k0], axis=0, initial=-0.0, out=acc)
+        else:
+            ops._fold_into(np.add, acc, s)
     return acc
 
 

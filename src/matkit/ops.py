@@ -28,7 +28,8 @@ The scan indexes the reduced axis in place, walks it in slabs of at most
 _SLAB elements and scans each slab from the running partial result, so no
 scan as large as the input is ever built; when one slice fills a slab, it
 starts from a copy of the first slice and takes one in-place step per later
-slice (_fold_into), the step linalg._product folds its later slabs with.
+slice (_fold_into), the step linalg._product adds a later slab of few
+k-slices with.
 extremum is one NaN-skipping fmin/fmax reduce and one first-hit scan.
 Elementwise maps may be parallelized freely by the backend; reductions stay
 sequential per slice.

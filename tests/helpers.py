@@ -11,11 +11,15 @@ def arr(a):
 
 
 def assert_exact(a, expected, msg=""):
-    """Bitwise equality of values and shape (NaN == NaN counts as equal)."""
-    got = arr(a)
+    """Bitwise equality of values and shape, except that any NaN matches any
+    NaN: -0.0 and +0.0 differ, and NaN sign and payload are not compared."""
+    got = np.asarray(arr(a), dtype=np.float64)
     want = np.asarray(expected, dtype=np.float64)
     assert got.shape == want.shape, f"shape {got.shape} != {want.shape} {msg}"
-    assert np.array_equal(got, want, equal_nan=True), f"{got} != {want} {msg}"
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan) and np.array_equal(
+        got[~nan].view(np.uint64), want[~nan].view(np.uint64)
+    ), f"{got} != {want} {msg}"
 
 
 def assert_bits(a, expected, msg=""):

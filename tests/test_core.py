@@ -133,6 +133,15 @@ def test_wrap_ndarray_is_the_column_major_flattening(arr):
     assert bits.tobytes() == want.tobytes()
 
 
+def test_assert_exact_tells_zero_signs_apart_and_matches_any_nan():
+    # the helper's contract: bits, except that NaN sign and payload are free
+    nan2 = np.array([0xFFF8000000000005], np.uint64).view(np.float64)[0]
+    assert_exact(from_rows([[math.nan, -0.0, 1.5]]), [[nan2, -0.0, 1.5]])
+    for got, want in (([[-0.0]], [[0.0]]), ([[0.0]], [[-0.0]]), ([[math.nan]], [[1.0]]), ([[1.0]], [[math.nan]])):
+        with pytest.raises(AssertionError):
+            assert_exact(from_rows(got), want)
+
+
 def test_wrap_ndarray_rejects_rank_below_2():
     for arr in (np.zeros(3), np.zeros(0), np.array(1.0), np.zeros(2, dtype=bool)):
         with pytest.raises(ShapeError):

@@ -297,6 +297,39 @@ def test_product_keeps_the_two_multiply_bits_nan_included():
             assert_bits(linalg._product(av, bv), _two_multiply_fold(av, bv), f"{m}x{k}x{n}")
 
 
+@pytest.mark.parametrize("r", [2, 5, 6, 7, 13])
+def test_later_slab_folds_keep_the_bits_around_the_cut_over(monkeypatch, r):
+    # with ops._SLAB = r*m*n every slab holds r k-slices: a later slab of
+    # fewer than _REDUCE_SLICES is added in place, a larger one is reduced
+    # from -0.0 with the running sum as its row 0; both are the per-k fold
+    rng = np.random.default_rng(26 + r)
+    with np.errstate(all="ignore"):
+        for trial in range(60):
+            m, n = int(rng.integers(2, 6)), int(rng.choice([1, 3, 8, 13]))
+            monkeypatch.setattr(ops, "_SLAB", r * m * n)
+            k = int(rng.integers(r + 1, 4 * r + 3))
+            av, bv = _nan_laced(rng, m, k, np.s_[:, 0]), _nan_laced(rng, k, n, np.s_[0])
+            assert_bits(linalg._product(av, bv), _two_multiply_fold(av, bv), f"{m}x{k}x{n} r={r}")
+
+
+@pytest.mark.parametrize("m, k, n, steps", [
+    (2, 20000, 2, 0), (1, 10**5, 2, 0), (50, 40, 50, 0), (55, 40, 55, 7), (80, 400, 80, 199),
+])
+def test_only_slabs_of_few_k_slices_are_added_in_place(monkeypatch, m, k, n, steps):
+    # a later slab of 4096 k-slices (2 x 20000 x 2) took 4096 in-place adds,
+    # and a 1 x 10**5 by 10**5 x 2 product about 35 ms; now a slab of 6 or
+    # more (50 x 40 x 50) is one reduce, and a slab of 5 (55 x 40 x 55) or 2
+    # (80 x 400 x 80) still takes one ops._fold_into per slab
+    calls = []
+    real = ops._fold_into
+    monkeypatch.setattr(ops, "_fold_into", lambda *args: calls.append(args) or real(*args))
+    av, bv = Prng(m).normal((m, k)).view(), Prng(n + 1).normal((k, n)).view()
+    with np.errstate(all="ignore"):
+        got = linalg._product(av, bv)
+    assert len(calls) == steps
+    assert_bits(got, _two_multiply_fold(av, bv))
+
+
 def test_only_reused_or_large_slabs_are_line_aligned(monkeypatch):
     # a slab used once that holds at most 2**12 doubles fits L1, where
     # alignment cost more than it saved; a k = 1 product needs no slab
