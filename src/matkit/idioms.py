@@ -340,6 +340,7 @@ def blockproc(a: NumArray, block_shape, f: Callable[[NumArray], NumArray]) -> Nu
     return wrap_ndarray(out)
 
 
+@np.errstate(all="ignore")  # one for both products: see linalg._product
 def _dct_sandwich(x: NumArray, t, who: str, inverse: bool) -> NumArray:
     """T X T' (forward) or T' X T (inverse) for a square block x.
 
@@ -358,8 +359,7 @@ def _dct_sandwich(x: NumArray, t, who: str, inverse: bool) -> NumArray:
         raise ShapeError(f"block {x.dims} does not match transform order {t.dims}")
     tv = t.view()
     left, right = (tv.T, tv) if inverse else (tv, tv.T)
-    with np.errstate(all="ignore"):  # one for both products: see linalg._product
-        return wrap_ndarray(_product(_product(left, x.view()), right))
+    return wrap_ndarray(_product(_product(left, x.view()), right))
 
 
 def dct2d(x: NumArray, t: NumArray = None) -> NumArray:

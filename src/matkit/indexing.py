@@ -133,6 +133,13 @@ def _resolve_selector(sel, extent: int, what: str) -> np.ndarray:
         idx = [s.resolve(extent) if isinstance(s, End) else _number(s, entry) for s in sel]
     elif isinstance(sel, NumArray):
         idx = sel.buf
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to some int, refused below
+            pos = idx.astype(np.intp)
+        # one cast and three reductions when every entry is an in-range integer;
+        # otherwise the entry-by-entry checks below name the first bad index
+        if pos.size and (pos == idx).all() and pos.min() >= 1 and pos.max() <= extent:
+            pos -= 1
+            return pos
     else:
         raise ArgumentError(f"{what}: unsupported selector {sel!r}")
     try:

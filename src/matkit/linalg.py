@@ -68,6 +68,7 @@ def _line_aligned(shape) -> np.ndarray:
     return raw[skip:skip + size].reshape(shape)
 
 
+@np.errstate(all="ignore")  # _product's IEEE results: see its docstring
 def matmul(a: NumArray, b: NumArray) -> NumArray:
     """Standard matrix product; inner accumulation in ascending-k order.
 
@@ -77,8 +78,7 @@ def matmul(a: NumArray, b: NumArray) -> NumArray:
     _check_rank2(b, "matmul")
     if a.cols != b.rows:
         raise ShapeError(f"matmul inner dims differ: {a.dims} by {b.dims}")
-    with np.errstate(all="ignore"):  # _product's IEEE results: see its docstring
-        return wrap_ndarray(_product(a.view(), b.view()))
+    return wrap_ndarray(_product(a.view(), b.view()))
 
 
 def _product(av: np.ndarray, bv: np.ndarray) -> np.ndarray:

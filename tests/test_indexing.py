@@ -1,6 +1,7 @@
 """Index expressions, logical indexing, deletion, and growth semantics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +182,20 @@ def test_selector_error_names_first_offending_index():
         extract(m, IndexExpr.linear(from_rows([[1, float("inf")]])))
     with pytest.raises(ArgumentError, match="unsupported selector"):
         extract(m, IndexExpr.linear(["a"]))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, 17.0, 1.5, -0.5, math.nan, math.inf, -math.inf,
+                                 2.0**63, -(2.0**63), 1e30])
+def test_numarray_selector_names_its_first_bad_entry_as_a_list_does(bad):
+    # a NumArray selector is resolved by one intp cast when every entry is an
+    # in-range integer; any other entry takes the entry-by-entry checks
+    m = magic(4)
+    entries = [16.0, 1.0, bad, 2.5]
+    with pytest.raises((ArgumentError, IndexBoundsError)) as want:
+        m[entries]
+    with pytest.raises(type(want.value), match=re.escape(str(want.value)) + "$"):
+        m[from_rows([entries])]
+    assert_exact(m[from_rows([[16.0, 1.0, 4.0]])], [[1, 16, 4]])
 
 
 def test_list_selector_entries_follow_the_number_rule():

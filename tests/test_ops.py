@@ -499,6 +499,89 @@ def test_merge_2d_mask_against_3d_operands():
     assert got.buf.tobytes() == np.ravel(want, order="F").tobytes()
 
 
+# --- merge is a bit select: np.where's bits and the scalar twin's ---
+
+# NaNs of two payloads and both signs, signed zeros and infinities, the
+# extremes, and subnormals of both signs (the least and the largest)
+_MERGE_VALUES = _SCALARS + (-5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308)
+
+
+def _merge_operand(data, dims):
+    """A NumArray of dims, or a scalar operand when dims is None."""
+    value = st.sampled_from(_MERGE_VALUES) | st.floats(width=64)
+    if dims is None:
+        return data.draw(value)
+    n = math.prod(dims)
+    return NumArray(dims, data.draw(st.lists(value, min_size=n, max_size=n)))
+
+
+def _merge_mask(dims, pattern, rng) -> BoolMask:
+    n = math.prod(dims)
+    bits = {"random": rng.random(n) < 0.5, "true": np.ones(n, bool), "false": np.zeros(n, bool)}
+    return BoolMask(dims, bits[pattern])
+
+
+def _assert_merge_selects(mask, a, b):
+    """merge(mask, a, b) against np.where on the expanded views and against
+    the scalar twin, bit for bit; and it shares no memory with a or b."""
+    got = merge(mask, a, b)
+    operands = [x if isinstance(x, NumArray) else _one(x) for x in (a, b)]
+    full, (vm, va, vb) = _expanded([mask] + operands)
+    assert got.dims == normalize_dims(full)
+    assert_bits(got, np.where(vm, va, vb))
+    flat = [x if m else y for m, x, y in zip(
+        vm.ravel("F").tolist(), va.ravel("F").tolist(), vb.ravel("F").tolist())]
+    assert_bits(got, np.array(flat, dtype=np.float64).reshape(full, order="F"))
+    for x in (a, b):
+        if isinstance(x, NumArray):
+            assert not np.shares_memory(got.buf, x.buf)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_merge_is_a_bit_select(data):
+    sm, sa, sb = data.draw(_compatible_shapes(3))
+    pattern = data.draw(st.sampled_from(["random", "true", "false"]))
+    mask = _merge_mask(sm, pattern, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    a = _merge_operand(data, data.draw(st.sampled_from([sa, None])))
+    b = _merge_operand(data, data.draw(st.sampled_from([sb, None])))
+    _assert_merge_selects(mask, a, b)
+
+
+@pytest.mark.parametrize("pattern", ["random", "true", "false"])
+@pytest.mark.parametrize("mask_dims, a_dims, b_dims", [
+    ((3, 4), (3, 4, 2), (3, 4, 2)),  # a 2-D mask against 3-D operands
+    ((3, 4), (3, 1, 2), None),
+    ((3, 4), None, (1, 4, 2)),
+    ((5, 6), None, None),  # only the mask gives the result its extent
+    ((1, 1), None, None),  # a 1x1 result takes its scalars as 1x1 arrays
+    ((1, 1), (1, 1), None),
+    ((0, 3), (0, 3), None),  # empty results
+    ((2, 0), None, (2, 1)),
+    ((1, 3, 0), (2, 1), None),
+])
+def test_merge_bits_on_named_shapes(mask_dims, a_dims, b_dims, pattern):
+    rng = np.random.default_rng(27)
+    pool = np.array(_MERGE_VALUES)
+
+    def operand(dims, k):
+        if dims is None:
+            return _MERGE_VALUES[k % len(_MERGE_VALUES)]
+        return NumArray(dims, rng.choice(pool, math.prod(dims)))
+
+    for k in range(len(_MERGE_VALUES)):
+        _assert_merge_selects(_merge_mask(mask_dims, pattern, rng),
+                              operand(a_dims, k), operand(b_dims, 5 * k + 3))
+
+
+def test_merge_refuses_a_mask_that_is_not_a_boolmask():
+    # the bit select reads the mask's bytes as bits, so only a BoolMask will do
+    x = magic(4)
+    for bad in (x, 1.0, 0, True, None, [[True]], np.ones((4, 4), bool)):
+        with pytest.raises(ArgumentError, match="merge mask must be a BoolMask"):
+            merge(bad, x, 0.0)
+
+
 @settings(max_examples=150)
 @given(st.data())
 def test_broadcast_callers_reject_incompatible_shapes(data):
