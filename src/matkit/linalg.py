@@ -18,6 +18,13 @@ no slab is counted; others are cache-line aligned. dot, and a 1 x k by k x 1
 product, stay on ops._ascending, whose scan takes one Python step per slab
 rather than per index.
 
+Broadcasts over long rows run with numpy's ufunc buffer cut to _ROW_BUFFER
+elements, inside an np.errstate scope that restores the caller's buffer on
+exit (_row_buffered): a product whose rows reach that length, and mldivide's
+elimination when its order does. Short rows, such as the block DCT's 8 x 8
+tiles, keep numpy's default buffer and pay nothing for the rule. mldivide's
+back substitution sums each row in ascending order, with no BLAS dot.
+
 The eigensolver is a parallel Jacobi iteration. Its sweeps follow the circle
 method, one index fixed and the others rotating, and each round rotates a
 set of disjoint index pairs in one vectorized update: the round's index
@@ -53,6 +60,16 @@ from .errors import ArgumentError, ConvergenceError, ShapeError, SingularMatrixE
 # 0.77-0.86x at 6, 0.46-0.48x at 16 and 0.03-0.04x at 8192.
 _REDUCE_SLICES = 6
 
+# Broadcasts over rows at least this long run with numpy's ufunc buffer cut to
+# this many elements (_row_buffered): by default numpy 2.4 runs a broadcast in
+# chunks of its 8192-element buffer, and on long rows that chunking, not the
+# arithmetic, set the cost. A broadcast multiply of 4 x m x 1 by 4 x 1 x n
+# (4*m*n ~ 2**14 doubles; 2-vCPU Xeon, numpy 2.4.6, medians of 31 interleaved
+# rounds) took, in us, default against a 64-element buffer: 27.9 vs 45.3 at
+# n = 32, 29.1 vs 32.4 at 48, 27.7 vs 25.3 at 64 (faster in 30 of 31 rounds),
+# 25.9 vs 15.0 at 128 and 19.5 vs 6.0 at 400.
+_ROW_BUFFER = 64
+
 
 def _line_aligned(shape) -> np.ndarray:
     """An empty float64 array whose data starts on a 64-byte cache line.
@@ -66,6 +83,21 @@ def _line_aligned(shape) -> np.ndarray:
     # raw.ctypes.data builds a helper object per call: about 3x as slow
     skip = -ctypes.addressof(ctypes.c_char.from_buffer(raw)) % 64 // 8
     return raw[skip:skip + size].reshape(shape)
+
+
+def _row_buffered(n: int, fn, *args):
+    """fn(*args), whose broadcasts run over rows n long: when n reaches
+    _ROW_BUFFER, under numpy's ufunc buffer cut to _ROW_BUFFER elements, else
+    as it is. Since numpy 2.0 the buffer size is part of the np.errstate
+    context, per thread, so leaving the scope restores the caller's size, on
+    a raise too. Entering it costs about 2 us (np.setbufsize alone), which
+    short rows, such as the 8 x 8 block DCT's, do not pay.
+    """
+    if n < _ROW_BUFFER:
+        return fn(*args)
+    with np.errstate():
+        np.setbufsize(_ROW_BUFFER)
+        return fn(*args)
 
 
 @np.errstate(all="ignore")  # _product's IEEE results: see its docstring
@@ -103,9 +135,17 @@ def _product(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     tail, which returns the other operand when two NaNs meet. The first slab
     is formed by one 3-D multiply when n is a multiple of 8. Otherwise its
     k = 1 product has its own 2-D multiply, since where two NaNs meet numpy's
-    2-D broadcast loop returns the other operand's in its scalar tail, the
-    product's last m*n mod 8 entries (and elsewhere when n = 1), and the 3-D
-    loop need not. With n a multiple of 8 the two loops agree.
+    2-D broadcast loop, run through its default 8192-element buffer, returns
+    the other operand's in its scalar tail, the product's last m*n mod 8
+    entries (and elsewhere when n = 1), and the 3-D loop need not. With n a
+    multiple of 8 the two loops agree.
+
+    Rows of n >= _ROW_BUFFER are folded under a buffer of _ROW_BUFFER
+    elements (_row_buffered). There each row of a product is one call of
+    numpy's loop for a repeated a[i, k] times a row of b, which keeps a's NaN
+    wherever two meet, tail included, in the 2-D and the 3-D multiply alike.
+    So a NaN in such a product can carry other bits than under the default
+    buffer; every other bit is the same.
 
     When all k products fit in a quarter of ops._SLAB (2**12 doubles, 32 KiB,
     inside a 48 KiB L1d), they are one slab, since then k <= r, and no slab
@@ -118,6 +158,14 @@ def _product(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     an overflow is inf, as IEEE-754 says: the block DCT enters it once for
     both of its products.
     """
+    n = bv.shape[1]
+    if n < _ROW_BUFFER:  # the block DCT's tiles: one call, no scope
+        return _fold(av, bv)
+    return _row_buffered(n, _fold, av, bv)
+
+
+def _fold(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """_product's fold, under the buffer _product chose."""
     (m, k), n = av.shape, bv.shape[1]
     if k == 0 or m * n == 0:  # an empty sum is +0.0, and an empty result walks no k
         return np.zeros((m, n))
@@ -168,14 +216,40 @@ def dot(a: NumArray, b: NumArray) -> float:
 
 
 def mldivide(a: NumArray, b: NumArray) -> NumArray:
-    """Solve the square system Ax = b by LU with partial pivoting."""
+    """Solve the square system Ax = b by LU with partial pivoting.
+
+    The pivot is the first largest magnitude in its column, and a zero pivot
+    raises SingularMatrixError naming its column. The elimination's rank-1
+    updates run over rows of up to n - 1 entries, under _row_buffered. The
+    back substitution sums each row's products in ascending column order,
+    from the first product, as the scalar loop does: a BLAS dot's order
+    depends on the kernel OpenBLAS picks for the host, so its last bits
+    could differ from host to host.
+    """
     _check_square(a, "mldivide")
     n = a.rows
     if not (b.rank == 2 and b.rows == n and b.cols == 1):
         raise ShapeError(f"mldivide rhs must be {n}x1, got {b.dims}")
     lu = a.view().copy()
     x = b.buf.copy()
-    for k in range(n):
+    _row_buffered(n, _eliminate, lu, x)
+    # one multiply and one sequential accumulate per row, into a scratch row:
+    # the bits of ops._ascending, whose per-call checks doubled this step's
+    # time at n = 300 (1.5 against 0.8 ms)
+    row = np.empty(n)
+    for k in range(n - 1, -1, -1):
+        if k < n - 1:
+            s = row[k + 1:]
+            np.multiply(lu[k, k + 1:], x[k + 1:], s)
+            x[k] -= np.add.accumulate(s, out=s)[-1]
+        x[k] /= lu[k, k]
+    return NumArray((n, 1), x)
+
+
+def _eliminate(lu: np.ndarray, x: np.ndarray) -> None:
+    """mldivide's elimination in place: lu becomes the unit-lower L below its
+    diagonal and U on and above it, with x carried through the row swaps."""
+    for k in range(len(x)):
         p = k + int(np.argmax(np.abs(lu[k:, k])))
         if lu[p, k] == 0.0:
             raise SingularMatrixError(f"zero pivot in column {k + 1}")
@@ -185,9 +259,6 @@ def mldivide(a: NumArray, b: NumArray) -> NumArray:
         lu[k + 1:, k] /= lu[k, k]
         lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
         x[k + 1:] -= lu[k + 1:, k] * x[k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
-    return NumArray((n, 1), x)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from matkit import (
     NumArray,
     ShapeError,
     SingularMatrixError,
+    blockproc,
     dct2d,
     dctmtx,
     dot,
@@ -379,6 +380,114 @@ def test_products_give_ieee_results_without_warnings():
     _assert_loop_bits(got, _loop_matmul(a, b))
 
 
+# --- numpy's ufunc buffer around long rows ---
+
+def _buffer_calls():
+    """(call, error) pairs of matmul, mldivide and eig_sym: each call returns
+    or raises error. The singular solve raises inside the small-buffer scope."""
+    big = Prng(3).normal((200, 200))
+    a = Prng(4).normal((80, 80)).view().copy()
+    a += np.diag(np.abs(a).sum(axis=1) + 1.0)
+    zero_col = a.copy()
+    zero_col[:, 40] = 0.0
+    b = Prng(6).normal((80, 1))
+    s = wrap_ndarray(_random_symmetric(40, 48))
+    return [
+        (lambda: matmul(big, big), None),
+        (lambda: matmul(Prng(7).normal((8, 8)), Prng(8).normal((8, 8))), None),
+        (lambda: mldivide(wrap_ndarray(a), b), None),
+        (lambda: eig_sym(s), None),
+        (lambda: mldivide(wrap_ndarray(zero_col), b), SingularMatrixError),
+        (lambda: eig_sym(s, max_sweeps=1), ConvergenceError),
+        (lambda: matmul(big, Prng(9).normal((100, 200))), ShapeError),
+        (lambda: mldivide(wrap_ndarray(a), Prng(10).normal((81, 1))), ShapeError),
+        (lambda: eig_sym(Prng(11).normal((3, 4))), ShapeError),
+    ]
+
+
+@pytest.mark.parametrize("caller", [None, 1024])
+def test_the_small_buffer_never_leaks_to_the_caller(caller):
+    # numpy's default buffer, or one the caller set in its own errstate scope,
+    # is the buffer after every call, also after a raise
+    with np.errstate():
+        if caller:
+            np.setbufsize(caller)
+        want = np.getbufsize()
+        assert want == (caller or 8192)
+        for call, error in _buffer_calls():
+            if error:
+                with pytest.raises(error):
+                    call()
+            else:
+                call()
+            assert np.getbufsize() == want
+    assert np.getbufsize() == 8192
+
+
+def test_only_long_rows_set_the_buffer(monkeypatch):
+    sizes = []
+    real = np.setbufsize
+    monkeypatch.setattr(np, "setbufsize", lambda size: sizes.append(size) or real(size))
+
+    def calls(f, *args):
+        sizes.clear()
+        out = f(*args)
+        return out, list(sizes)
+
+    t = dctmtx(8)
+    rng = np.random.default_rng(28)
+    img = wrap_ndarray(_nan_laced(rng, 24, 32, np.s_[:, 0]))
+    tv, iv = t.view(), img.view()
+    with np.errstate(all="ignore"):
+        for transform, (left, right) in ((dct2d, (tv, tv.T)), (idct2d, (tv.T, tv))):
+            out, made = calls(blockproc, img, (8, 8), lambda blk: transform(blk, t))
+            assert made == []
+            # each tile's bits, NaN sign and payload included, are the
+            # two-multiply fold's under numpy's default buffer
+            for i in range(0, 24, 8):
+                for j in range(0, 32, 8):
+                    tile = iv[i:i + 8, j:j + 8]
+                    want = _two_multiply_fold(_two_multiply_fold(left, tile), right)
+                    assert_bits(out.view()[i:i + 8, j:j + 8], want, f"{transform.__name__} {i},{j}")
+    for (m, k, n), made in [((8, 8, 8), []), ((40, 400, 40), []), ((80, 400, 63), []),
+                            ((2, 3, 64), [linalg._ROW_BUFFER]), ((200, 200, 200), [linalg._ROW_BUFFER])]:
+        assert calls(matmul, Prng(m).normal((m, k)), Prng(n).normal((k, n)))[1] == made, (m, k, n)
+    for n, made in [(63, []), (64, [linalg._ROW_BUFFER]), (300, [linalg._ROW_BUFFER])]:
+        a = Prng(n).normal((n, n)).view() + n * np.eye(n)
+        assert calls(mldivide, wrap_ndarray(a), Prng(n + 1).normal((n, 1)))[1] == made, n
+    assert calls(eig_sym, wrap_ndarray(_random_symmetric(40, 48)))[1] == []
+
+
+@pytest.mark.parametrize("n", [64, 65, 100, 129, 200])
+def test_long_row_products_keep_the_fold_bits_nan_included(n):
+    # rows of at least _ROW_BUFFER are folded under that buffer, where a NaN
+    # can carry other bits than under numpy's default: every bit, NaN sign
+    # and payload included, is the reference fold's under the same buffer
+    rng = np.random.default_rng(640 + n)
+    with np.errstate(all="ignore"):
+        for trial in range(40):
+            m = int(rng.integers(1, ops._SLAB // (2 * n) + 1))
+            r = ops._SLAB // (m * n)
+            k = int(rng.integers(2, min(r, 200) + 1)) if trial % 3 else int(rng.integers(r + 1, 2 * r + 9))
+            av, bv = _nan_laced(rng, m, k, np.s_[:, 0]), _nan_laced(rng, k, n, np.s_[0])
+            got = linalg._product(av, bv)
+            with np.errstate():
+                np.setbufsize(linalg._ROW_BUFFER)
+                want = _two_multiply_fold(av, bv)
+            assert_bits(got, want, f"{m}x{k}x{n}")
+
+
+@pytest.mark.parametrize("order", [65, 72])
+@pytest.mark.parametrize("transform, inverse", [(dct2d, False), (idct2d, True)])
+def test_dct_sandwich_past_the_row_buffer_is_two_matmuls(transform, inverse, order):
+    rng = np.random.default_rng(order)
+    t = dctmtx(order)
+    left, right = (t.T, t) if inverse else (t, t.T)
+    for _ in range(3):
+        x = wrap_ndarray(_nan_laced(rng, order, order, np.s_[:, 0]))
+        assert_bits(transform(x, t), matmul(matmul(left, x), right))
+
+
 # --- dot ---
 
 def test_dot_reference_value():
@@ -463,6 +572,64 @@ def test_mldivide_singular():
     s = from_rows([[1, 2], [2, 4]])
     with pytest.raises(SingularMatrixError):
         mldivide(s, from_rows([[1], [1]]))
+
+
+def _loop_mldivide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The oracle of mldivide: LU with partial pivoting, one scalar at a time.
+
+    The pivot is the first largest magnitude at or below the diagonal, in
+    ascending row order, and a zero pivot raises SingularMatrixError naming
+    its column. Each row of the back substitution sums its products in
+    ascending column order, from the first product."""
+    n = len(a)
+    lu, x = a.tolist(), [row[0] for row in b.tolist()]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(lu[i][k]))  # the first of equals
+        if lu[p][k] == 0.0:
+            raise SingularMatrixError(f"zero pivot in column {k + 1}")
+        lu[k], lu[p] = lu[p], lu[k]
+        x[k], x[p] = x[p], x[k]
+        for i in range(k + 1, n):
+            l = lu[i][k] = lu[i][k] / lu[k][k]
+            for j in range(k + 1, n):
+                lu[i][j] = lu[i][j] - l * lu[k][j]
+            x[i] = x[i] - l * x[k]
+    for k in range(n - 1, -1, -1):
+        if k < n - 1:
+            acc = lu[k][k + 1] * x[k + 1]
+            for j in range(k + 2, n):
+                acc = acc + lu[k][j] * x[j]
+            x[k] = x[k] - acc
+        x[k] = x[k] / lu[k][k]
+    return np.array(x).reshape(n, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 64, 70])
+def test_mldivide_is_its_scalar_loop_bit_for_bit(n):
+    rng = np.random.default_rng(2800 + n)
+    a = rng.standard_normal((n, n))
+    b = rng.standard_normal((n, 1))
+    b[::3] = -0.0
+    dominant = a + np.diag(np.abs(a).sum(axis=1) + 1.0)
+    ties = np.round(a * 2) / 2 + np.eye(n) / 8  # equal magnitudes: the first is the pivot
+    for x in (a, dominant, ties, a * 1e150, a * 1e-150):
+        assert_bits(mldivide(wrap_ndarray(x), wrap_ndarray(b)), _loop_mldivide(x, b))
+
+
+@pytest.mark.parametrize("n", [2, 5, 70])
+def test_mldivide_fails_at_the_loops_column(n):
+    rng = np.random.default_rng(2900 + n)
+    a = rng.standard_normal((n, n))
+    b = wrap_ndarray(rng.standard_normal((n, 1)))
+    zero_col, twin_rows = a.copy(), a.copy()
+    zero_col[:, n // 2] = 0.0
+    twin_rows[n - 1] = twin_rows[0]  # the copy becomes an exact zero row
+    for x in (zero_col, twin_rows):
+        with pytest.raises(SingularMatrixError) as want:
+            _loop_mldivide(x, b.view())
+        with pytest.raises(SingularMatrixError) as got:
+            mldivide(wrap_ndarray(x), b)
+        assert str(got.value) == str(want.value)
 
 
 # --- symmetric eigendecomposition ---
