@@ -19,8 +19,8 @@ product, stay on ops._ascending, whose scan takes one Python step per slab
 rather than per index.
 
 Broadcasts over long rows run with numpy's ufunc buffer cut to _ROW_BUFFER
-elements, inside an np.errstate scope that restores the caller's buffer on
-exit (_row_buffered): a product whose rows reach that length, and mldivide's
+elements, and the caller's buffer set back on the way out, also on a raise
+(_row_buffered): a product whose rows reach that length, and mldivide's
 elimination when its order does. Short rows, such as the block DCT's 8 x 8
 tiles, keep numpy's default buffer and pay nothing for the rule. mldivide's
 back substitution sums each row in ascending order, with no BLAS dot.
@@ -85,19 +85,19 @@ def _line_aligned(shape) -> np.ndarray:
     return raw[skip:skip + size].reshape(shape)
 
 
-def _row_buffered(n: int, fn, *args):
-    """fn(*args), whose broadcasts run over rows n long: when n reaches
-    _ROW_BUFFER, under numpy's ufunc buffer cut to _ROW_BUFFER elements, else
-    as it is. Since numpy 2.0 the buffer size is part of the np.errstate
-    context, per thread, so leaving the scope restores the caller's size, on
-    a raise too. Entering it costs about 2 us (np.setbufsize alone), which
-    short rows, such as the 8 x 8 block DCT's, do not pay.
+def _row_buffered(fn, *args):
+    """fn(*args) under numpy's ufunc buffer cut to _ROW_BUFFER elements, for
+    broadcasts over rows at least that long. The caller's buffer size is set
+    back in a finally, also on a raise: numpy 1.x's np.errstate restores only
+    the error flags, so a scope alone would leave the small buffer behind.
+    The two np.setbufsize calls cost about 4 us, which the callers spare
+    short rows, such as the 8 x 8 block DCT's.
     """
-    if n < _ROW_BUFFER:
+    old = np.setbufsize(_ROW_BUFFER)
+    try:
         return fn(*args)
-    with np.errstate():
-        np.setbufsize(_ROW_BUFFER)
-        return fn(*args)
+    finally:
+        np.setbufsize(old)
 
 
 @np.errstate(all="ignore")  # _product's IEEE results: see its docstring
@@ -159,9 +159,9 @@ def _product(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     both of its products.
     """
     n = bv.shape[1]
-    if n < _ROW_BUFFER:  # the block DCT's tiles: one call, no scope
+    if n < _ROW_BUFFER:  # the block DCT's tiles: one call, no buffer set
         return _fold(av, bv)
-    return _row_buffered(n, _fold, av, bv)
+    return _row_buffered(_fold, av, bv)
 
 
 def _fold(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
@@ -220,11 +220,11 @@ def mldivide(a: NumArray, b: NumArray) -> NumArray:
 
     The pivot is the first largest magnitude in its column, and a zero pivot
     raises SingularMatrixError naming its column. The elimination's rank-1
-    updates run over rows of up to n - 1 entries, under _row_buffered. The
-    back substitution sums each row's products in ascending column order,
-    from the first product, as the scalar loop does: a BLAS dot's order
-    depends on the kernel OpenBLAS picks for the host, so its last bits
-    could differ from host to host.
+    updates run over rows of up to n - 1 entries, under _row_buffered from
+    n = _ROW_BUFFER up. The back substitution sums each row's products in
+    ascending column order, from the first product, as the scalar loop does:
+    a BLAS dot's order depends on the kernel OpenBLAS picks for the host, so
+    its last bits could differ from host to host.
     """
     _check_square(a, "mldivide")
     n = a.rows
@@ -232,7 +232,10 @@ def mldivide(a: NumArray, b: NumArray) -> NumArray:
         raise ShapeError(f"mldivide rhs must be {n}x1, got {b.dims}")
     lu = a.view().copy()
     x = b.buf.copy()
-    _row_buffered(n, _eliminate, lu, x)
+    if n < _ROW_BUFFER:
+        _eliminate(lu, x)
+    else:
+        _row_buffered(_eliminate, lu, x)
     # one multiply and one sequential accumulate per row, into a scratch row:
     # the bits of ops._ascending, whose per-call checks doubled this step's
     # time at n = 300 (1.5 against 0.8 ms)
