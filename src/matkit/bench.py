@@ -10,6 +10,13 @@ each variant's warm-up: timing is then `reps` sequential calls on a
 monotonic clock, single-threaded, with no statistical post-processing: the
 harness demonstrates relative structure, not rigorous microbenchmarking.
 
+This gate is one of three equality rules, each kept in one place:
+- the gate (_verify_equal): IEEE values, NaN matches NaN, -0.0 matches +0.0;
+- loop against vectorized in the test suite, rule L (assert_exact in
+  tests/helpers.py): raw bits, except that any NaN matches any NaN;
+- kernel against kernel in the test suite, rule K (assert_bits there): raw
+  bits, NaN sign and payload included.
+
 The generator is splitmix64 in counter mode: draw i of a stream seeded with
 s mixes the 64-bit state s + i * 0x9E3779B97F4A7C15 through two
 xor-shift-multiply rounds. Identical seeds give identical sequences on any

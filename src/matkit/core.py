@@ -659,14 +659,14 @@ def unique_sorted(a: NumArray) -> NumArray:
     return NumArray((1, u.size), u)
 
 
+@np.errstate(all="ignore")  # inf - inf is NaN and overflow is inf, as IEEE-754 says
 def diff_adjacent(a: NumArray, dim: int) -> NumArray:
     """Moving difference along dim: each element becomes successor - element."""
     _check_dim(dim, "diff")
     _check_rank2(a, "diff")
     if a.dims[dim - 1] < 1:
         raise ArgumentError("diff needs extent >= 1 along dim")
-    with np.errstate(all="ignore"):  # inf - inf is NaN and overflow is inf, as IEEE-754 says
-        return wrap_ndarray(np.diff(a.view(), axis=dim - 1))
+    return wrap_ndarray(np.diff(a.view(), axis=dim - 1))
 
 
 # The operator methods reach their kernels through these modules, bound once

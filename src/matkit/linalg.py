@@ -203,6 +203,7 @@ def _fold(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     return acc
 
 
+@np.errstate(all="ignore")  # an overflowing product is inf
 def dot(a: NumArray, b: NumArray) -> float:
     """Inner product of two equal-length vectors, summed in ascending order."""
     _check_vector(a, "dot")
@@ -211,10 +212,10 @@ def dot(a: NumArray, b: NumArray) -> float:
         raise ShapeError(f"dot length mismatch: {a.numel} vs {b.numel}")
     if a.numel == 0:
         return 0.0
-    with np.errstate(all="ignore"):  # an overflowing product is inf
-        return float(ops._ascending(np.add, a.buf * b.buf, 0)[0])
+    return float(ops._ascending(np.add, a.buf * b.buf, 0)[0])
 
 
+@np.errstate(all="ignore")  # IEEE results: inf - inf is NaN, an overflow is inf
 def mldivide(a: NumArray, b: NumArray) -> NumArray:
     """Solve the square system Ax = b by LU with partial pivoting.
 

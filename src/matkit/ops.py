@@ -247,12 +247,12 @@ def reduce_along_dim(kind: str, a: NumArray, dim: int) -> NumArray:
     return wrap_ndarray(out)
 
 
+@np.errstate(all="ignore")
 def cumsum_along_dim(a: NumArray, dim: int) -> NumArray:
     """Running prefix sums along dim; same shape as the input."""
     _check_dim(dim, "cumsum")
     _check_rank2(a, "cumsum")
-    with np.errstate(all="ignore"):
-        return wrap_ndarray(np.cumsum(a.view(), axis=dim - 1))
+    return wrap_ndarray(np.cumsum(a.view(), axis=dim - 1))
 
 
 def extremum(kind: str, a: NumArray, dim: int):
@@ -329,10 +329,10 @@ def mask_not(a: BoolMask) -> BoolMask:
     return BoolMask(a.dims, ~a.bits)
 
 
+@np.errstate(all="ignore")  # f's own IEEE results (inf - inf is NaN) are not errors
 def apply_broadcast(f: Callable[[float, float], float], a, b) -> NumArray:
     """Lift a pure scalar binary function to arrays under broadcasting."""
     lifted = np.frompyfunc(lambda x, y: float(f(float(x), float(y))), 2, 1)
-    with np.errstate(all="ignore"):  # f's own IEEE results (inf - inf is NaN) are not errors
-        return _broadcast_apply(
-            lambda va, vb: lifted(va, vb).astype(np.float64), _coerce(a), _coerce(b)
-        )
+    return _broadcast_apply(
+        lambda va, vb: lifted(va, vb).astype(np.float64), _coerce(a), _coerce(b)
+    )

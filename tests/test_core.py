@@ -43,7 +43,7 @@ from matkit import (
 from matkit import indexing, linalg, ops
 from matkit.core import normalize_dims, wrap_ndarray
 
-from helpers import assert_bits, assert_exact
+from helpers import assert_bits, assert_exact, double
 
 MAGIC4 = [
     [16, 2, 3, 13],
@@ -121,25 +121,56 @@ def _nd_arrays(draw):
 @given(_nd_arrays())
 def test_wrap_ndarray_is_the_column_major_flattening(arr):
     got = wrap_ndarray(arr)
-    want = np.ravel(arr, order="F")
     assert got.dims == normalize_dims(arr.shape)
     if arr.dtype == np.bool_:
         assert isinstance(got, BoolMask)
-        bits = got.bits
+        bits, kind = got.bits, np.bool_
     else:
         assert isinstance(got, NumArray)
-        bits, want = got.buf, want.astype(np.float64)
-    assert bits.ndim == 1 and bits.dtype == want.dtype
-    assert bits.tobytes() == want.tobytes()
+        bits, kind = got.buf, np.float64
+    assert bits.ndim == 1 and bits.dtype == kind
+    assert_bits(got, arr)  # the nd view of the flat buffer, so its column-major order
 
 
 def test_assert_exact_tells_zero_signs_apart_and_matches_any_nan():
-    # the helper's contract: bits, except that NaN sign and payload are free
-    nan2 = np.array([0xFFF8000000000005], np.uint64).view(np.float64)[0]
+    # rule L, loop against vectorized: bits, except that NaN sign and payload are free
+    nan2 = double(0xFFF8000000000005)
     assert_exact(from_rows([[math.nan, -0.0, 1.5]]), [[nan2, -0.0, 1.5]])
     for got, want in (([[-0.0]], [[0.0]]), ([[0.0]], [[-0.0]]), ([[math.nan]], [[1.0]]), ([[1.0]], [[math.nan]])):
         with pytest.raises(AssertionError):
             assert_exact(from_rows(got), want)
+    with pytest.raises(AssertionError, match="bool != float64"):
+        assert_exact(from_rows([[1.0, 0.0]]) > 0.5, [[1.0, 0.0]])
+
+
+def test_assert_bits_tells_nan_payloads_signs_and_zero_signs_apart():
+    # rule K, kernel against kernel: raw bits, and a mask never equals numbers
+    nan, nan5, neg_nan = double(0x7FF8000000000000), double(0x7FF8000000000005), double(0xFFF8000000000000)
+    assert_bits(from_rows([[nan5, neg_nan, -0.0, 1.5]]), [[nan5, neg_nan, -0.0, 1.5]])
+    for got, want in (([[nan]], [[nan5]]), ([[nan]], [[neg_nan]]), ([[-0.0]], [[0.0]]), ([[0.0]], [[-0.0]])):
+        with pytest.raises(AssertionError, match=r"^1 entries differ; first at \(1, 1\)"):
+            assert_bits(from_rows(got), want)
+    mask = from_rows([[1.0, 0.0]]) > 0.5
+    assert_bits(mask, [[True, False]])
+    with pytest.raises(AssertionError, match="bool != float64"):
+        assert_bits(mask, [[1.0, 0.0]])
+
+
+@pytest.mark.parametrize("check", [assert_exact, assert_bits])
+def test_both_helpers_take_numarrays_shape_rule_and_name_the_first_difference(check):
+    want = np.arange(6.0).reshape(2, 3)
+    check(wrap_ndarray(want), want[:, :, None])  # (r, c, 1) is dims (r, c)
+    check(want[:, :, None], wrap_ndarray(want))
+    with pytest.raises(ShapeError, match="rank must be at least 2"):
+        check(wrap_ndarray(want[:1]), want[0])
+    with pytest.raises(AssertionError, match=r"shape \(2, 3\) != \(3, 2\)"):
+        check(wrap_ndarray(want), want.T)
+    # (2, 2) comes first in column-major order, (1, 3) in row-major order
+    got = want.copy()
+    got[1, 1], got[0, 2] = -4.0, math.nan
+    with pytest.raises(AssertionError, match=re.escape(
+            "2 entries differ; first at (2, 2): 0xc010000000000000 != 0x4010000000000000 case 7")):
+        check(wrap_ndarray(got), want, "case 7")
 
 
 def test_wrap_ndarray_rejects_rank_below_2():
@@ -267,39 +298,33 @@ def test_both_classes_name_themselves_in_repr_and_immutability():
                 setattr(value, attr, None)
 
 
-def _assert_same(got, want):
-    assert type(got) is type(want)
-    if isinstance(want, BoolMask):
-        assert got.dims == want.dims and np.array_equal(got.bits, want.bits)
-    else:
-        assert_bits(got, want)
-
-
 def test_each_operator_is_its_kernel_call():
     a = from_rows([[1.5, -0.0, math.nan], [-2.0, math.inf, 3.0]])
     b = from_rows([[0.5, -3.0, 2.0]])
     c = from_rows([[1.0, 2.0], [0.0, -1.0], [4.0, 0.5]])
+    pairs = []  # (operator's result, kernel's result)
     for sym, op in (("+", operator.add), ("-", operator.sub), ("*", operator.mul),
                     ("/", operator.truediv), ("^", operator.pow)):
         for x, y in ((a, b), (b, a), (a, 2)):
-            _assert_same(op(x, y), ops.ew_binary(sym, x, y))
+            pairs.append((op(x, y), ops.ew_binary(sym, x, y)))
         if sym != "^":  # NumArray has no __rpow__
-            _assert_same(op(2, a), ops.ew_binary(sym, 2, a))
-    _assert_same(-a, ops.ew_unary("neg", a))
-    _assert_same(a @ c, linalg.matmul(a, c))
-    _assert_same(a[4], indexing.extract(a, indexing.IndexExpr.linear(4)))
-    _assert_same(a[2, 3], indexing.extract(a, indexing.IndexExpr.of(2, 3)))
+            pairs.append((op(2, a), ops.ew_binary(sym, 2, a)))
+    pairs.append((-a, ops.ew_unary("neg", a)))
+    pairs.append((a @ c, linalg.matmul(a, c)))
+    pairs.append((a[4], indexing.extract(a, indexing.IndexExpr.linear(4))))
+    pairs.append((a[2, 3], indexing.extract(a, indexing.IndexExpr.of(2, 3))))
     for sym, op in (("<", operator.lt), ("<=", operator.le), (">", operator.gt),
                     (">=", operator.ge), ("==", operator.eq), ("!=", operator.ne)):
         for x, y in ((a, b), (b, a), (a, 2)):
-            _assert_same(op(x, y), ops.compare(sym, x, y))
+            pairs.append((op(x, y), ops.compare(sym, x, y)))
     # against a non-number, == and != fall back to Python's identity answer
     for other in ("x", None, [1.0]):
         assert (a == other) is False and (a != other) is True
     m, n = a > 0, b < 1
-    _assert_same(m | n, ops.mask_or(m, n))
-    _assert_same(m & n, ops.mask_and(m, n))
-    _assert_same(~m, ops.mask_not(m))
+    pairs += [(m | n, ops.mask_or(m, n)), (m & n, ops.mask_and(m, n)), (~m, ops.mask_not(m))]
+    for k, (got, want) in enumerate(pairs):
+        assert type(got) is type(want), k
+        assert_bits(got, want, k)
 
 
 # --- colon ranges ---
@@ -729,16 +754,15 @@ def test_sort_matches_reference_comparator():
                 for dim in (1, 2):
                     s, p = sort_along_dim(NumArray(dims, vals), dim, direction)
                     assert s.dims == p.dims == dims
-                    sv, pv = s.view(), (p.view() - 1).astype(int)
+                    want = np.empty(dims)
                     for k in range(dims[2 - dim]):
-                        src = v[:, k] if dim == 1 else v[k, :]
-                        got = sv[:, k] if dim == 1 else sv[k, :]
-                        order = pv[:, k] if dim == 1 else pv[k, :]
-                        want = _reference_sort(src.tolist(), direction == "desc")
-                        # bitwise: -0.0 and 0.0 keep their stable order
-                        assert got.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
-                        # perm really reconstructs the sorted slice from the input
-                        assert src[order].tobytes() == got.tobytes()
+                        at = np.s_[:, k] if dim == 1 else np.s_[k, :]
+                        want[at] = _reference_sort(v[at].tolist(), direction == "desc")
+                    # bitwise: -0.0 and 0.0 keep their stable order
+                    assert_bits(s, want, f"{direction} {dims} dim {dim}")
+                    # perm really reconstructs each sorted slice from the input
+                    order = (p.view() - 1).astype(int)
+                    assert_bits(np.take_along_axis(v, order, axis=dim - 1), s)
 
 
 def test_sort_along_columns():

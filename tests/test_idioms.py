@@ -170,8 +170,7 @@ def test_distance_strategies_agree_300_points():
     d2 = distance_matrix(p, "rowBroadcast")
     d3 = distance_matrix(p, "fullBroadcast")
     for d in (d2, d3):
-        assert d.dims == d1.dims
-        assert np.array_equal(d.buf.view(np.uint64), d1.buf.view(np.uint64))
+        assert_bits(d, d1)
     for d in (d1, d2, d3):
         v = d.view()
         assert np.abs(v - v.T).max() <= 1e-12
@@ -198,7 +197,7 @@ def test_distance_strategies_bitwise_equal(p):
         got = [distance_matrix(p, s) for s in _STRATEGIES]
     for d in got:
         assert d.dims == (p.rows, p.rows)
-        assert np.array_equal(d.buf.view(np.uint64), got[0].buf.view(np.uint64))
+        assert_bits(d, got[0])
 
 
 def test_distance_strategies_agree_on_nan_and_inf():
@@ -292,14 +291,6 @@ def _loop_metric_manhattan(x: NumArray, y: NumArray) -> np.ndarray:
 _METRIC_TWINS = ((metric_euclidean, _loop_metric_euclidean), (metric_manhattan, _loop_metric_manhattan))
 
 
-def _assert_loop_bits(got: NumArray, want: np.ndarray):
-    """uint64 bits equal everywhere, except that any NaN matches any NaN."""
-    assert got.dims == want.shape
-    nan = np.isnan(got.view())
-    assert np.array_equal(nan, np.isnan(want))
-    assert got.view()[~nan].view(np.uint64).tolist() == want[~nan].view(np.uint64).tolist()
-
-
 def _metric_operand(data, r, c) -> NumArray:
     """r x c plain decimals with at most three entries overwritten by ±0, ±inf or NaN."""
     vals = data.draw(st.lists(st.integers(-10**6, 10**6).map(lambda i: i / 100),
@@ -323,7 +314,7 @@ def test_metrics_match_their_loops_across_blocks(data):
         if rows is not None:
             mp.setattr(idioms, "_METRIC_BLOCK", rows * max(1, x.numel))
         for metric, loop in _METRIC_TWINS:
-            _assert_loop_bits(metric(x, y), loop(x, y))
+            assert_exact(metric(x, y), loop(x, y))
 
 
 @pytest.mark.parametrize("n, m, d", [(3, 0, 2), (0, 9, 2), (4, 9, 0), (0, 0, 0), (4, 9, 3)])
@@ -333,7 +324,7 @@ def test_metrics_match_their_loops_on_empty_and_small_sets(n, m, d, rows):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(idioms, "_METRIC_BLOCK", rows * max(1, x.numel))
         for metric, loop in _METRIC_TWINS:
-            _assert_loop_bits(metric(x, y), loop(x, y))
+            assert_exact(metric(x, y), loop(x, y))
 
 
 def test_metrics_match_their_loops_across_real_blocks():
@@ -346,7 +337,7 @@ def test_metrics_match_their_loops_across_real_blocks():
     y.buf[[8, 20 + 9, 40 + 19, 60 + 19]] = [math.inf, -0.0, math.nan, math.inf]
     with np.errstate(invalid="ignore"):
         for metric, loop in _METRIC_TWINS:
-            _assert_loop_bits(metric(x, y), loop(x, y))
+            assert_exact(metric(x, y), loop(x, y))
 
 
 def test_metric_builds_no_whole_set_difference():

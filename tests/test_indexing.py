@@ -37,7 +37,7 @@ from matkit import core, indexing
 from matkit.core import _is_int, normalize_dims, wrap_ndarray
 from matkit.indexing import End, _is_scalar_rhs, _mask_bits, _resolve_selector
 
-from helpers import assert_exact
+from helpers import assert_bits, assert_exact, outcome
 
 
 # --- extraction: the six reference selections ---
@@ -525,29 +525,24 @@ def _masked_arrays(draw):
     return a, BoolMask(draw(st.sampled_from([dims, (n, 1), (1, n)])), bits)
 
 
-def _assert_same_bits(got, want):
-    assert got.dims == want.dims
-    assert got.buf.tobytes() == want.buf.tobytes()
-
-
 @settings(max_examples=300)
 @given(_masked_arrays(), st.data())
 def test_mask_selector_matches_the_former_mask_bodies(am, data):
     a, mask = am
     want = _former_logical_extract(a, mask)
     for got in (extract(a, IndexExpr.linear(mask)), a[mask], logical_extract(a, mask)):
-        _assert_same_bits(got, want)
+        assert_bits(got, want)
     scalar = data.draw(_VALUES)
-    _assert_same_bits(logical_assign(a, mask, scalar), _former_logical_assign(a, mask, scalar))
+    assert_bits(logical_assign(a, mask, scalar), _former_logical_assign(a, mask, scalar))
     k = mask.count()
     rhs = NumArray(data.draw(st.sampled_from([(1, k), (k, 1)])), data.draw(
         st.lists(_VALUES, min_size=k, max_size=k)))
     want = _former_logical_assign(a, mask, rhs)
-    _assert_same_bits(logical_assign(a, mask, rhs), want)
-    _assert_same_bits(assign_indexed(a, IndexExpr.linear(mask), rhs), want)
+    assert_bits(logical_assign(a, mask, rhs), want)
+    assert_bits(assign_indexed(a, IndexExpr.linear(mask), rhs), want)
     want = _former_delete_by_mask(a, mask)
-    _assert_same_bits(delete_elements(a, mask), want)
-    _assert_same_bits(delete_elements(a, IndexExpr.linear(mask)), want)
+    assert_bits(delete_elements(a, mask), want)
+    assert_bits(delete_elements(a, IndexExpr.linear(mask)), want)
 
 
 # --- one flat-buffer body against the former linear and Cartesian bodies ---
@@ -632,15 +627,6 @@ def _former_delete_elements(a, ix):
     return NumArray((kept.size, 1) if column else (1, kept.size), kept)
 
 
-def _outcome(call):
-    """What a call did: its dims and values as uint64 bits, or its exception."""
-    try:
-        r = call()
-    except Exception as e:  # the exception class and message are compared
-        return type(e), str(e)
-    return r.dims, r.buf.view(np.uint64).tolist()
-
-
 @st.composite
 def _selectors(draw, extent):
     """Any selector kind over 1..extent, now and then naming a position outside it."""
@@ -692,10 +678,10 @@ def _indexed(draw):
 @given(_indexed(), st.data())
 def test_one_flat_body_matches_the_former_linear_and_cartesian_bodies(aix, data):
     a, ix = aix
-    want = _outcome(lambda: _former_extract(a, ix))
-    assert _outcome(lambda: extract(a, ix)) == want
-    want_kept = _outcome(lambda: _former_delete_elements(a, ix))
-    assert _outcome(lambda: delete_elements(a, ix)) == want_kept
+    want = outcome(lambda: _former_extract(a, ix))
+    assert outcome(lambda: extract(a, ix)) == want
+    want_kept = outcome(lambda: _former_delete_elements(a, ix))
+    assert outcome(lambda: delete_elements(a, ix)) == want_kept
     if data.draw(st.booleans()):
         rhs = data.draw(_VALUES)
     else:
@@ -704,8 +690,8 @@ def test_one_flat_body_matches_the_former_linear_and_cartesian_bodies(aix, data)
         shape = data.draw(st.sampled_from([shape, shape[::-1], (1, k), (k, 1), (1, k + 1)]))
         rhs = NumArray(shape, data.draw(st.lists(_VALUES, min_size=math.prod(shape),
                                                  max_size=math.prod(shape))))
-    got = _outcome(lambda: assign_indexed(a, ix, rhs))
-    assert got == _outcome(lambda: _former_assign_indexed(a, ix, rhs))
+    got = outcome(lambda: assign_indexed(a, ix, rhs))
+    assert got == outcome(lambda: _former_assign_indexed(a, ix, rhs))
 
 
 # --- selections of ints, ALL and spans go through basic slices ---
@@ -728,13 +714,13 @@ def _ramp(dims):
 
 def _same_as_the_position_body(a, ix):
     """extract, delete and scalar and shaped assignment agree with the former bodies."""
-    got = _outcome(lambda: extract(a, ix))
-    assert got == _outcome(lambda: _former_extract(a, ix))
-    assert _outcome(lambda: delete_elements(a, ix)) == _outcome(lambda: _former_delete_elements(a, ix))
+    got = outcome(lambda: extract(a, ix))
+    assert got == outcome(lambda: _former_extract(a, ix))
+    assert outcome(lambda: delete_elements(a, ix)) == outcome(lambda: _former_delete_elements(a, ix))
     rhs = NumArray(got[0], -np.arange(1.0, math.prod(got[0]) + 1)) if isinstance(got[0], tuple) else 7.0
     for value in (-0.0, rhs):
-        assert _outcome(lambda: assign_indexed(a, ix, value)) == \
-            _outcome(lambda: _former_assign_indexed(a, ix, value))
+        assert outcome(lambda: assign_indexed(a, ix, value)) == \
+            outcome(lambda: _former_assign_indexed(a, ix, value))
 
 
 def test_ints_all_and_spans_build_no_position_array(monkeypatch):

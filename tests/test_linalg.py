@@ -70,21 +70,17 @@ def test_matmul_shape_error():
         matmul(zeros((2, 3)), zeros((2, 3)))
 
 
-def _bits(x):
-    return np.asarray(x, dtype=np.float64).view(np.uint64).tolist()
-
-
 def test_matmul_keeps_the_sign_of_a_zero_sum_as_dot_does():
     # matmul folded from +0.0, and 0.0 + -0.0 is +0.0, so it disagreed with dot
     for a, b in (([[-1.0]], [[0.0]]), ([[-0.0, -0.0]], [[1.0], [2.0]]), ([[1.0, -1.0]], [[0.0], [0.0]])):
         a, b = from_rows(a), from_rows(b)
-        assert _bits(matmul(a, b).buf) == _bits([dot(a, b.T)])
-    assert _bits(matmul(from_rows([[-1.0]]), from_rows([[0.0]])).buf) == _bits([-0.0])
+        assert_bits(matmul(a, b), [[dot(a, b.T)]])
+    assert_bits(matmul(from_rows([[-1.0]]), from_rows([[0.0]])), [[-0.0]])
     # a lane of -0.0 products among others: a fold from +0.0 gives +0.0 there
     got = matmul(from_rows([[-0.0, -0.0], [1.0, 2.0]]), from_rows([[1.0, 2.0], [1.0, 2.0]]))
-    assert _bits(got.view()) == _bits([[-0.0, -0.0], [3.0, 6.0]])
+    assert_bits(got, [[-0.0, -0.0], [3.0, 6.0]])
     # an empty inner dimension still sums to +0.0
-    assert _bits(matmul(zeros((2, 0)), zeros((0, 3))).buf) == _bits(np.zeros(6))
+    assert_bits(matmul(zeros((2, 0)), zeros((0, 3))), np.zeros((2, 3)))
 
 
 def _loop_matmul(a, b) -> np.ndarray:
@@ -129,19 +125,9 @@ def _matmul_operand(data, r, c) -> NumArray:
 def test_matmul_matches_the_ascending_triple_loop_bit_for_bit(shape, data):
     m, k, n = data.draw(shape)
     a, b = _matmul_operand(data, m, k), _matmul_operand(data, k, n)
-    got, want = matmul(a, b), _loop_matmul(a, b)
+    got = matmul(a, b)
     assert got.dims == (m, n)
-    nan = np.isnan(got.view())
-    assert np.array_equal(nan, np.isnan(want))  # NaN matches NaN, whatever its bits
-    assert _bits(got.view()[~nan]) == _bits(want[~nan])
-
-
-def _assert_loop_bits(got: NumArray, want: np.ndarray):
-    """uint64 bits equal everywhere, except that any NaN matches any NaN."""
-    assert got.dims == want.shape
-    nan = np.isnan(got.view())
-    assert np.array_equal(nan, np.isnan(want))
-    assert _bits(got.view()[~nan]) == _bits(want[~nan])
+    assert_exact(got, _loop_matmul(a, b))  # NaN matches NaN, whatever its bits
 
 
 def _slab_operand(data, r, c) -> NumArray:
@@ -166,7 +152,7 @@ def test_matmul_matches_the_loop_across_slab_boundaries(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ops, "_SLAB", slab)
         got = matmul(a, b)
-    _assert_loop_bits(got, _loop_matmul(a, b))
+    assert_exact(got, _loop_matmul(a, b))
 
 
 @pytest.mark.parametrize("m, k, n", [(8, 300, 8), (2, 20000, 2), (3, 9000, 2), (130, 3, 130)])
@@ -180,7 +166,7 @@ def test_matmul_across_real_slab_boundaries(m, k, n):
     a.buf[m - 1] = -0.0  # the k = 1 slice
     a.buf[m * (k // 2) + m - 1] = math.nan
     b.buf[-2:] = [-math.inf, math.inf]  # the last two k-slices
-    _assert_loop_bits(matmul(a, b), _loop_matmul(a, b))
+    assert_exact(matmul(a, b), _loop_matmul(a, b))
 
 
 def test_matmul_with_an_empty_result_never_folds(monkeypatch):
@@ -218,7 +204,7 @@ def test_numpys_reduce_from_minus_zero_is_the_in_place_fold():
             for t in range(1, k):
                 np.add(acc, s[t], acc)
             got = np.add.reduce(s, axis=0, initial=-0.0)
-        assert np.array_equal(got.view(np.uint64), acc.view(np.uint64)), (k, m, n)
+        assert_bits(got, acc, (k, m, n))
 
 
 def test_a_one_lane_product_is_a_dot_product(monkeypatch):
@@ -234,14 +220,14 @@ def test_a_one_lane_product_is_a_dot_product(monkeypatch):
         if k == 2:
             a.buf[0] = math.nan
         got = matmul(a, b)
-        assert _bits(got.buf) == _bits([dot(a, b)])
-        _assert_loop_bits(got, _loop_matmul(a, b))
+        assert_bits(got, [[dot(a, b)]])
+        assert_exact(got, _loop_matmul(a, b))
 
 
 def test_a_product_of_one_k_slice_is_its_outer_product():
     a = from_rows([[0.0], [-0.0], [math.nan], [2.5], [-math.inf]])
     b = from_rows([[-0.0, 0.0, math.nan, 3.0, -1.5]])
-    _assert_loop_bits(matmul(a, b), _loop_matmul(a, b))
+    assert_exact(matmul(a, b), _loop_matmul(a, b))
 
 
 def _two_multiply_fold(av, bv) -> np.ndarray:
@@ -359,7 +345,7 @@ def test_dct_sandwich_is_the_ascending_loop_bit_for_bit(transform, inverse):
             x[hit] = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan], size=int(hit.sum()))
             block = wrap_ndarray(x)
             want = _loop_matmul(wrap_ndarray(_loop_matmul(left, block)), right)
-            _assert_loop_bits(transform(block, t), want)
+            assert_exact(transform(block, t), want)
 
 
 def test_products_give_ieee_results_without_warnings():
@@ -378,7 +364,7 @@ def test_products_give_ieee_results_without_warnings():
     b = from_rows([[1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], [1.0] * 8, [1.0] * 8])
     got = matmul(a, b)
     assert got.view()[0, 0] == inf and math.isnan(got.view()[1, 1])
-    _assert_loop_bits(got, _loop_matmul(a, b))
+    assert_exact(got, _loop_matmul(a, b))
 
 
 # --- numpy's ufunc buffer around long rows ---
@@ -621,6 +607,33 @@ def test_mldivide_is_its_scalar_loop_bit_for_bit(n):
     ties = np.round(a * 2) / 2 + np.eye(n) / 8  # equal magnitudes: the first is the pivot
     for x in (a, dominant, ties, a * 1e150, a * 1e-150):
         assert_bits(mldivide(wrap_ndarray(x), wrap_ndarray(b)), _loop_mldivide(x, b))
+
+
+def test_mldivide_gives_the_loops_ieee_results_without_warnings():
+    # each raised a RuntimeWarning under the suite's error::RuntimeWarning filter
+    inf, nan = math.inf, math.nan
+    for a, b, want in (
+        ([[1e308, 1e308], [1e308, -1e308]], [[1], [1]], [[1e-308], [-0.0]]),  # overflow in the update
+        ([[inf, 1], [inf, 2]], [[1], [1]], [[nan], [nan]]),  # inf / inf in the multiplier
+        ([[1e-300, 0], [0, 1]], [[1e300], [1]], [[inf], [1]]),  # overflow in the last divide
+        ([[2, 1], [1, 3]], [[nan], [inf]], [[nan], [nan]]),
+    ):
+        a, b = np.array(a, dtype=np.float64), np.array(b, dtype=np.float64)
+        got = mldivide(wrap_ndarray(a), wrap_ndarray(b))
+        assert_exact(got, want)
+        assert_exact(got, _loop_mldivide(a, b))
+    # n = 64 eliminates under _row_buffered: inf - inf in the updates, and a
+    # column of tiny entries whose last divide overflows
+    rng = np.random.default_rng(64)
+    a = rng.standard_normal((64, 64))
+    a += np.diag(np.abs(a).sum(axis=1) + 1.0)
+    b = rng.standard_normal((64, 1))
+    b_inf, b_big, a_tiny = b.copy(), b.copy(), a.copy()
+    b_inf[[3, 40], 0] = [1e308, inf]
+    a_tiny[:, 0] *= 1e-300
+    b_big[:4, 0] = [1e300, -1e300, 0.0, 1.0]
+    for x, y in ((a, b_inf), (a_tiny, b_big)):
+        assert_exact(mldivide(wrap_ndarray(x), wrap_ndarray(y)), _loop_mldivide(x, y))
 
 
 @pytest.mark.parametrize("n", [2, 5, 70])
@@ -1011,7 +1024,7 @@ def test_spdiags_places_each_diagonal_as_the_loop_does():
             top = 0 if d >= 0 else rows - len(cells)
             for t, v in enumerate(cells):
                 want[top + t, k] = v
-        assert _bits(band.bands.view()) == _bits(want)
+        assert_bits(band.bands, want)
 
 
 def test_spdiags_partitions_all_elements():

@@ -37,7 +37,7 @@ from matkit import (
 from matkit import ops
 from matkit.core import normalize_dims, wrap_ndarray
 
-from helpers import assert_bits, assert_exact, max_abs_diff
+from helpers import assert_bits, assert_exact, double, max_abs_diff
 
 
 # --- broadcast planning ---
@@ -277,23 +277,15 @@ def test_scalar_operands_must_be_numbers_a_double_can_hold():
                 call()
 
 
-def _double(bits: int) -> float:
-    return float(np.array(bits, dtype=np.uint64).view(np.float64))
-
-
 # the scalar operands of the differential: signed zeros and infinities, the
 # extremes, the least subnormal, and NaNs of both signs with two payloads
 _SCALARS = (0.0, -0.0, math.inf, -math.inf, 1e308, -1e308, 5e-324, 2, -3.5, 0.5, -1, 1,
-            _double(0x7FF8000000000000), _double(0xFFF8000000000000),
-            _double(0x7FF8000000000123), _double(0xFFF8000000000123))
+            double(0x7FF8000000000000), double(0xFFF8000000000000),
+            double(0x7FF8000000000123), double(0xFFF8000000000123))
 
 
 def _one(x) -> NumArray:
     return NumArray((1, 1), [x])
-
-
-def _assert_same_mask(got, want):
-    assert got.dims == want.dims and np.array_equal(got.bits, want.bits)
 
 
 def test_scalar_operand_equals_its_1x1_array_bit_for_bit():
@@ -310,9 +302,9 @@ def test_scalar_operand_equals_its_1x1_array_bit_for_bit():
                     assert_bits(ew_binary(op, s, x), ew_binary(op, _one(s), x), f"{s!r} {op}")
                 assert_bits(ew_binary(op, s, t), ew_binary(op, _one(s), _one(t)), f"{s!r} {op} {t!r}")
             for op in ("<", "<=", ">", ">=", "==", "!="):
-                _assert_same_mask(compare(op, a, s), compare(op, a, _one(s)))
-                _assert_same_mask(compare(op, s, v), compare(op, _one(s), v))
-                _assert_same_mask(compare(op, s, t), compare(op, _one(s), _one(t)))
+                assert_bits(compare(op, a, s), compare(op, a, _one(s)), f"{op} {s!r}")
+                assert_bits(compare(op, s, v), compare(op, _one(s), v), f"{s!r} {op}")
+                assert_bits(compare(op, s, t), compare(op, _one(s), _one(t)), f"{s!r} {op} {t!r}")
             assert_bits(merge(m, s, a), merge(m, _one(s), a))
             assert_bits(merge(m, a, s), merge(m, a, _one(s)))
             assert_bits(merge(m, s, t), merge(m, _one(s), _one(t)))
@@ -461,12 +453,6 @@ def _expanded(xs):
     return full, [np.broadcast_to(x.view().reshape(p, order="F"), full) for x, p in zip(xs, padded)]
 
 
-def _assert_bitwise(got, full, want):
-    assert got.dims == normalize_dims(full)
-    bits = got.bits if isinstance(got, BoolMask) else got.buf
-    assert bits.tobytes() == np.ravel(want, order="F").tobytes()
-
-
 @settings(max_examples=150)
 @given(st.data())
 def test_broadcast_callers_match_numpy(data):
@@ -474,20 +460,20 @@ def test_broadcast_callers_match_numpy(data):
     a, b = _draw_array(data, sa), _draw_array(data, sb)
     mask = compare(">", _draw_array(data, sm), 0.0)
     mask2 = compare("<", b, 1.0)
-    full, (va, vb) = _expanded([a, b])
+    _, (va, vb) = _expanded([a, b])
     with np.errstate(all="ignore"):
         for op, fn in (("+", np.add), ("-", np.subtract), ("*", np.multiply),
                        ("/", np.divide), ("^", np.power)):
-            _assert_bitwise(ew_binary(op, a, b), full, fn(va, vb))
+            assert_bits(ew_binary(op, a, b), fn(va, vb), op)
         for op, fn in (("<", np.less), ("<=", np.less_equal), (">", np.greater),
                        (">=", np.greater_equal), ("==", np.equal), ("!=", np.not_equal)):
-            _assert_bitwise(compare(op, a, b), full, fn(va, vb))
-    _assert_bitwise(apply_broadcast(math.copysign, a, b), full, np.copysign(va, vb))
-    full3, (vm, va3, vb3) = _expanded([mask, a, b])
-    _assert_bitwise(merge(mask, a, b), full3, np.where(vm, va3, vb3))
-    full2, (vm, vm2) = _expanded([mask, mask2])
-    _assert_bitwise(mask_or(mask, mask2), full2, vm | vm2)
-    _assert_bitwise(mask_and(mask, mask2), full2, vm & vm2)
+            assert_bits(compare(op, a, b), fn(va, vb), op)
+    assert_bits(apply_broadcast(math.copysign, a, b), np.copysign(va, vb))
+    _, (vm, va3, vb3) = _expanded([mask, a, b])
+    assert_bits(merge(mask, a, b), np.where(vm, va3, vb3))
+    _, (vm, vm2) = _expanded([mask, mask2])
+    assert_bits(mask_or(mask, mask2), vm | vm2)
+    assert_bits(mask_and(mask, mask2), vm & vm2)
 
 
 def test_merge_2d_mask_against_3d_operands():
@@ -496,7 +482,7 @@ def test_merge_2d_mask_against_3d_operands():
     got = merge(m, a, -0.0)
     assert got.dims == (2, 2, 2)
     want = np.where(m.view()[:, :, None], a.view(), -0.0)
-    assert got.buf.tobytes() == np.ravel(want, order="F").tobytes()
+    assert_bits(got, want)
 
 
 # --- merge is a bit select: np.where's bits and the scalar twin's ---
@@ -625,15 +611,6 @@ def _loop_reduce(kind, view, dim):
     return np.expand_dims(out, dim - 1)
 
 
-def _assert_same_bits(got: NumArray, want: np.ndarray):
-    """uint64 bits equal everywhere, except that any NaN matches any NaN."""
-    assert got.dims == normalize_dims(want.shape)
-    g, w = got.buf, np.ravel(want, order="F")
-    nan = np.isnan(w)
-    assert np.array_equal(np.isnan(g), nan)
-    assert np.array_equal(g[~nan].view(np.uint64), w[~nan].view(np.uint64))
-
-
 @settings(max_examples=150)
 @given(st.data())
 def test_reduce_along_dim_matches_scalar_loop(data):
@@ -647,7 +624,7 @@ def test_reduce_along_dim_matches_scalar_loop(data):
         mp.setattr(ops, "_SLAB", slab)  # small slabs: small shapes cross boundaries
         for kind in ("sum", "prod", "mean"):
             for dim in (1, 2, 3):
-                _assert_same_bits(reduce_along_dim(kind, a, dim), _loop_reduce(kind, a.view(), dim))
+                assert_exact(reduce_along_dim(kind, a, dim), _loop_reduce(kind, a.view(), dim))
 
 
 @pytest.mark.parametrize("dims, dim", [
@@ -667,7 +644,7 @@ def test_reduce_across_real_slab_boundaries(dims, dim):
     a = wrap_ndarray(x)
     with np.errstate(all="ignore"):
         for kind in ("sum", "prod", "mean"):
-            _assert_same_bits(reduce_along_dim(kind, a, dim), _loop_reduce(kind, x, dim))
+            assert_exact(reduce_along_dim(kind, a, dim), _loop_reduce(kind, x, dim))
 
 
 # 1, 2 and many lanes along each dim; dim 1 of a column-major array is the

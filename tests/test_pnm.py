@@ -11,6 +11,8 @@ from matkit import ArgumentError, Image, Prng, PnmFormatError, decode_pnm, encod
 from matkit.core import full, wrap_ndarray
 from matkit.pnm import _MAXVAL, _Scanner, _header
 
+from helpers import outcome
+
 
 def _loop_decode_pnm(data: bytes) -> Image:
     """The P2/P3 decoder as a scalar loop: decode_pnm's own _header, then one
@@ -33,18 +35,9 @@ def _loop_decode_pnm(data: bytes) -> Image:
     return Image(pixels=wrap_ndarray(vals.reshape(shape)))
 
 
-def _outcome(decode, data: bytes):
-    """Pixels as dims and uint64 bits, or the error as (class, message, offset)."""
-    try:
-        p = decode(data).pixels
-    except Exception as exc:  # the class is part of what is compared
-        return type(exc), str(exc), getattr(exc, "offset", None)
-    return p.dims, p.buf.view(np.uint64).tolist()
-
-
 def _assert_matches_loop(data: bytes):
-    got = _outcome(decode_pnm, data)
-    assert got == _outcome(_loop_decode_pnm, data)
+    got = outcome(lambda: decode_pnm(data).pixels)
+    assert got == outcome(lambda: _loop_decode_pnm(data).pixels)
     assert isinstance(got[1], list) or got[0] is PnmFormatError, got
     return got
 
