@@ -84,12 +84,14 @@ def test_scan_loop_equals_vectorized_200_shapes():
     scans = (linear_scan, boustrophedon_scan, zigzag_scan)
     for _ in range(200):
         m, n = int(rng.integers(1, 13)), int(rng.integers(1, 13))
-        a = wrap_ndarray(rng.integers(0, 100, size=(m, n)).astype(float))
+        x = rng.integers(0, 100, size=(m, n)).astype(float)
+        x.flat[rng.integers(0, m * n, 3)] = [-0.0, math.nan, -math.inf]  # bits a gather must carry
+        a = wrap_ndarray(x)
         for scan in scans:
             loop = scan(a, "loop")
             vec = scan(a, "vectorized")
-            assert loop.dims == vec.dims == (1, m * n)
-            assert np.array_equal(loop.buf, vec.buf), scan.__name__
+            assert loop.dims == (1, m * n)
+            assert_exact(vec, loop, scan.__name__)
 
 
 def test_scan_output_is_permutation_of_input():
@@ -204,9 +206,9 @@ def test_distance_strategies_agree_on_nan_and_inf():
     p = from_rows([[0, 1], [math.nan, 2], [math.inf, 3], [-math.inf, 4], [1, math.inf]])
     with np.errstate(invalid="ignore"):
         got = [distance_matrix(p, s) for s in _STRATEGIES]
+    assert got[0].dims == (5, 5)
     for d in got[1:]:
-        assert d.dims == got[0].dims == (5, 5)
-        assert np.array_equal(d.view(), got[0].view(), equal_nan=True)
+        assert_exact(d, got[0])
     assert np.isnan(got[0].view()).any() and np.isinf(got[0].view()).any()
 
 
@@ -459,8 +461,8 @@ def test_rgb2gray_loop_matches_broadcast_bit_for_bit():
     img = Prng(14).randint(0, 255, (64, 64, 3))
     a = rgb2gray(img)
     b = rgb2gray_loop(img)
-    assert a.dims == b.dims == (64, 64)
-    assert np.array_equal(a.buf, b.buf)
+    assert b.dims == (64, 64)
+    assert_exact(a, b)
 
 
 def test_rgb2gray_channel_check():

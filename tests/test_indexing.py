@@ -309,7 +309,7 @@ def test_assign_then_extract_round_trip():
         ix = IndexExpr.of([int(r) for r in ri], [int(c) for c in ci])
         rhs = wrap_ndarray(rng.standard_normal((len(ri), len(ci))))
         back = extract(assign_indexed(a, ix, rhs), ix)
-        assert np.array_equal(back.buf, rhs.buf)
+        assert_bits(back, rhs)
 
 
 # --- deletion ---
@@ -397,7 +397,7 @@ def test_logical_assign_nan_cleanup():
 def test_logical_assign_vector_and_noop():
     a = from_rows([[1, 2], [3, 4]])
     same = logical_assign(a, a > 99, 0)
-    assert np.array_equal(same.buf, a.buf)
+    assert_bits(same, a)
     two = logical_assign(a, a > 2, from_rows([[9, 9]]))
     assert two.buf.tolist() == [1, 9, 2, 9]
     with pytest.raises(ShapeError):

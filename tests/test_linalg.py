@@ -37,7 +37,7 @@ from matkit.core import wrap_ndarray
 from matkit.idioms import pca
 from matkit.linalg import _round_plans, _round_robin
 
-from helpers import assert_bits, assert_close, assert_exact, max_abs_diff
+from helpers import assert_bits, assert_close, assert_exact, double, max_abs_diff
 
 
 # --- matmul ---
@@ -181,7 +181,7 @@ def test_matmul_with_an_empty_result_never_folds(monkeypatch):
 
 
 def _nan(sign, payload):
-    return float(np.array([(sign << 63) | (0x7FF8 << 48) | payload], np.uint64).view(np.float64)[0])
+    return double((sign << 63) | (0x7FF8 << 48) | payload)
 
 
 def test_numpys_reduce_from_minus_zero_is_the_in_place_fold():

@@ -260,7 +260,7 @@ def test_extremum_matches_scalar_loop(data):
             v, i = extremum(kind, a, dim)
             want_v, want_i = _loop_extremum(kind, x, dim)
             assert_bits(v, want_v, f"{kind} dim {dim}")
-            assert np.array_equal(i.view(), want_i), f"{kind} dim {dim}: {i.view()} != {want_i}"
+            assert_exact(i, want_i, f"{kind} dim {dim}")
 
 
 # --- merge and mask algebra ---
@@ -365,7 +365,7 @@ def test_de_morgan_randomized():
         a, b = x > 0, y > 0
         lhs = mask_not(mask_or(a, b))
         rhs = mask_and(mask_not(a), mask_not(b))
-        assert lhs.bits.tolist() == rhs.bits.tolist()
+        assert_bits(lhs, rhs)
 
 
 # --- bsxfun-style lifting ---

@@ -11,7 +11,7 @@ from matkit import ArgumentError, Image, Prng, PnmFormatError, decode_pnm, encod
 from matkit.core import full, wrap_ndarray
 from matkit.pnm import _MAXVAL, _Scanner, _header
 
-from helpers import outcome
+from helpers import assert_bits, outcome
 
 
 def _loop_decode_pnm(data: bytes) -> Image:
@@ -61,7 +61,7 @@ def test_p2_and_p5_gray():
     assert ascii_img.channels == 1
     assert ascii_img.pixels.view().tolist() == [[1, 2, 3], [4, 5, 6]]
     binary = decode_pnm(b"P5\n3 2\n255\n" + bytes([1, 2, 3, 4, 5, 6]))
-    assert np.array_equal(binary.pixels.buf, ascii_img.pixels.buf)
+    assert_bits(binary.pixels, ascii_img.pixels)
 
 
 def test_write_then_read_round_trip(tmp_path):
@@ -71,8 +71,7 @@ def test_write_then_read_round_trip(tmp_path):
         path = tmp_path / "img.pnm"
         write_pnm(img, path)
         back = read_pnm(path)
-        assert back.pixels.dims == img.pixels.dims
-        assert np.array_equal(back.pixels.buf, img.pixels.buf)
+        assert_bits(back.pixels, img.pixels)
 
 
 def test_writer_refuses_images_the_reader_refuses(tmp_path):
