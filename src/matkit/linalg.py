@@ -18,12 +18,14 @@ no slab is counted; others are cache-line aligned. dot, and a 1 x k by k x 1
 product, stay on ops._ascending, whose scan takes one Python step per slab
 rather than per index.
 
-Broadcasts over long rows run with numpy's ufunc buffer cut to _ROW_BUFFER
-elements, and the caller's buffer set back on the way out, also on a raise
-(_row_buffered): a product whose rows reach that length, and mldivide's
-elimination when its order does. Short rows, such as the block DCT's 8 x 8
-tiles, keep numpy's default buffer and pay nothing for the rule. mldivide's
-back substitution sums each row in ascending order, with no BLAS dot.
+Broadcasts over long rows run with numpy's ufunc buffer cut to
+ops._ROW_BUFFER elements, and the caller's buffer set back on the way out,
+also on a raise (ops._row_buffered, the one buffer rule, which ops'
+broadcasting path applies too): a product whose rows reach that length, and
+mldivide's elimination when its order does. Short rows, such as the block
+DCT's 8 x 8 tiles, keep numpy's default buffer and pay nothing for the rule.
+mldivide's back substitution sums each row in ascending order, with no BLAS
+dot.
 
 The eigensolver is a parallel Jacobi iteration. Its sweeps follow the circle
 method, one index fixed and the others rotating, and each round rotates a
@@ -60,16 +62,6 @@ from .errors import ArgumentError, ConvergenceError, ShapeError, SingularMatrixE
 # 0.77-0.86x at 6, 0.46-0.48x at 16 and 0.03-0.04x at 8192.
 _REDUCE_SLICES = 6
 
-# Broadcasts over rows at least this long run with numpy's ufunc buffer cut to
-# this many elements (_row_buffered): by default numpy 2.4 runs a broadcast in
-# chunks of its 8192-element buffer, and on long rows that chunking, not the
-# arithmetic, set the cost. A broadcast multiply of 4 x m x 1 by 4 x 1 x n
-# (4*m*n ~ 2**14 doubles; 2-vCPU Xeon, numpy 2.4.6, medians of 31 interleaved
-# rounds) took, in us, default against a 64-element buffer: 27.9 vs 45.3 at
-# n = 32, 29.1 vs 32.4 at 48, 27.7 vs 25.3 at 64 (faster in 30 of 31 rounds),
-# 25.9 vs 15.0 at 128 and 19.5 vs 6.0 at 400.
-_ROW_BUFFER = 64
-
 
 def _line_aligned(shape) -> np.ndarray:
     """An empty float64 array whose data starts on a 64-byte cache line.
@@ -83,21 +75,6 @@ def _line_aligned(shape) -> np.ndarray:
     # raw.ctypes.data builds a helper object per call: about 3x as slow
     skip = -ctypes.addressof(ctypes.c_char.from_buffer(raw)) % 64 // 8
     return raw[skip:skip + size].reshape(shape)
-
-
-def _row_buffered(fn, *args):
-    """fn(*args) under numpy's ufunc buffer cut to _ROW_BUFFER elements, for
-    broadcasts over rows at least that long. The caller's buffer size is set
-    back in a finally, also on a raise: numpy 1.x's np.errstate restores only
-    the error flags, so a scope alone would leave the small buffer behind.
-    The two np.setbufsize calls cost about 4 us, which the callers spare
-    short rows, such as the 8 x 8 block DCT's.
-    """
-    old = np.setbufsize(_ROW_BUFFER)
-    try:
-        return fn(*args)
-    finally:
-        np.setbufsize(old)
 
 
 @np.errstate(all="ignore")  # _product's IEEE results: see its docstring
@@ -140,8 +117,8 @@ def _product(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     entries (and elsewhere when n = 1), and the 3-D loop need not. With n a
     multiple of 8 the two loops agree.
 
-    Rows of n >= _ROW_BUFFER are folded under a buffer of _ROW_BUFFER
-    elements (_row_buffered). There each row of a product is one call of
+    Rows of n >= ops._ROW_BUFFER are folded under a buffer of that many
+    elements (ops._row_buffered). There each row of a product is one call of
     numpy's loop for a repeated a[i, k] times a row of b, which keeps a's NaN
     wherever two meet, tail included, in the 2-D and the 3-D multiply alike.
     So a NaN in such a product can carry other bits than under the default
@@ -159,9 +136,9 @@ def _product(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     both of its products.
     """
     n = bv.shape[1]
-    if n < _ROW_BUFFER:  # the block DCT's tiles: one call, no buffer set
+    if n < ops._ROW_BUFFER:  # the block DCT's tiles: one call, no buffer set
         return _fold(av, bv)
-    return _row_buffered(_fold, av, bv)
+    return ops._row_buffered(_fold, av, bv)
 
 
 def _fold(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
@@ -221,11 +198,11 @@ def mldivide(a: NumArray, b: NumArray) -> NumArray:
 
     The pivot is the first largest magnitude in its column, and a zero pivot
     raises SingularMatrixError naming its column. The elimination's rank-1
-    updates run over rows of up to n - 1 entries, under _row_buffered from
-    n = _ROW_BUFFER up. The back substitution sums each row's products in
-    ascending column order, from the first product, as the scalar loop does:
-    a BLAS dot's order depends on the kernel OpenBLAS picks for the host, so
-    its last bits could differ from host to host.
+    updates run over rows of up to n - 1 entries, under ops._row_buffered
+    from n = ops._ROW_BUFFER up. The back substitution sums each row's
+    products in ascending column order, from the first product, as the scalar
+    loop does: a BLAS dot's order depends on the kernel OpenBLAS picks for
+    the host, so its last bits could differ from host to host.
     """
     _check_square(a, "mldivide")
     n = a.rows
@@ -233,10 +210,10 @@ def mldivide(a: NumArray, b: NumArray) -> NumArray:
         raise ShapeError(f"mldivide rhs must be {n}x1, got {b.dims}")
     lu = a.view().copy()
     x = b.buf.copy()
-    if n < _ROW_BUFFER:
+    if n < ops._ROW_BUFFER:
         _eliminate(lu, x)
     else:
-        _row_buffered(_eliminate, lu, x)
+        ops._row_buffered(_eliminate, lu, x)
     # one multiply and one sequential accumulate per row, into a scratch row:
     # the bits of ops._ascending, whose per-call checks doubled this step's
     # time at n = 300 (1.5 against 0.8 ms)

@@ -10,7 +10,12 @@ like the source notation). A singleton dimension is repeated without
 materializing copies. The fold takes only dims that differ from the running
 result, a scalar operand reaches numpy as a Python float (built into no
 array unless the result is 1x1), and the result is wrapped once, by the
-trusted wrap_ndarray. merge is a bit select on the operands' int64 bits
+trusted wrap_ndarray. The path owns the one ufunc buffer rule
+(_row_buffered, which linalg calls too): a subtract, divide or comparison
+that repeats an array operand along dim 1, the innermost axis, of a result
+with at least _ROW_BUFFER rows and more than one default buffer of entries
+runs under a _ROW_BUFFER-element buffer, where numpy's default chunking
+would set its cost. merge is a bit select on the operands' int64 bits
 (_select), not a branch per entry, so its cost does not depend on the mask's
 pattern, and each entry is a copy of one operand's bits.
 
@@ -39,6 +44,7 @@ sequential per slice.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -58,6 +64,42 @@ def _coerce(x):
     return float(_number(x, "scalar operand"))
 
 
+# Broadcasts that repeat an operand along long rows run with numpy's ufunc
+# buffer cut to this many elements (_row_buffered): by default numpy 2.4 runs a
+# broadcast in chunks of its 8192-element buffer, _DEFAULT_BUFFER, and on long
+# rows that chunking, not the arithmetic, sets the cost. _broadcast_apply takes
+# it for the ufuncs of _ROW_SAFE when an array operand has extent 1 along dim 1
+# of a result with at least this many rows and more than _DEFAULT_BUFFER
+# entries; linalg takes it for products with rows this long and for
+# mldivide's elimination from this order up. Times in us, default buffer
+# against 64 elements, the set and restore included (2-vCPU Xeon, numpy 2.4.6,
+# medians of 21 interleaved rounds): a subtract of 2000 x 5 x 1 - 1 x 5 x 26
+# 199 vs 114, 300 x 300 - 1 x 300 77 vs 38, 1 x 300 against 129 x 1 37 vs 13;
+# at the floors 70 x 300 - 1 x 300 18.5 vs 18.6, 63 x 300 - 1 x 300 17 vs 18
+# and 300 x 5 - 1 x 5 2.0 vs 3.8. Rows of 64 to 96 with 10**4 to 10**5
+# entries came out even, either way by up to 20% between runs; from 128 rows
+# and 4 * 10**4 entries up the small buffer was faster. A broadcast multiply of 4 x m x 1 by
+# 4 x 1 x n (4*m*n ~ 2**14, medians of 31) took 27.9 vs 45.3 at n = 32,
+# 27.7 vs 25.3 at 64 and 19.5 vs 6.0 at 400.
+_ROW_BUFFER = 64
+_DEFAULT_BUFFER = 8192
+
+
+def _row_buffered(fn, *args):
+    """fn(*args) under numpy's ufunc buffer cut to _ROW_BUFFER elements, for
+    broadcasts over rows at least that long. The caller's buffer size is set
+    back in a finally, also on a raise: numpy 1.x's np.errstate restores only
+    the error flags, so a scope alone would leave the small buffer behind.
+    The two np.setbufsize calls cost about 2-4 us, which the callers spare
+    short rows and small results.
+    """
+    old = np.setbufsize(_ROW_BUFFER)
+    try:
+        return fn(*args)
+    finally:
+        np.setbufsize(old)
+
+
 def _broadcast_apply(fn, *operands):
     """The one broadcasting path: fn over right-padded views of the operands.
 
@@ -71,6 +113,12 @@ def _broadcast_apply(fn, *operands):
     as 1x1 arrays: numpy's power loop answers an exponent it repeats, 0.5 by
     sqrt, so -0 ^ 0.5 would be -0 where a 1x1 gives +0. wrap_ndarray turns a
     bool result into a BoolMask, anything else into a NumArray.
+
+    A ufunc of _ROW_SAFE runs under _row_buffered when an array operand has
+    extent 1 along dim 1, the innermost axis, of a result with at least
+    _ROW_BUFFER rows and more than _DEFAULT_BUFFER entries: below that the
+    set and restore cost more than they save. Everything else, and an operand
+    repeated along another dim only, keeps numpy's default buffer.
     """
     # plain loops, not comprehensions: this runs on every kernel call, and a
     # comprehension costs a frame of its own
@@ -86,12 +134,16 @@ def _broadcast_apply(fn, *operands):
         dims = (1, 1)
     # operand dims are normalized, so no operand outranks the result
     rank, single = len(dims), dims == (1, 1)
-    views = []
+    views, repeated = [], False
     for x in operands:
         if not isinstance(x, float):
             views.append(_view_at_rank(x, rank))
+            if x.dims[0] == 1:  # numpy repeats it along the innermost axis
+                repeated = True
         else:
             views.append(np.array([[x]]) if single else x)
+    if repeated and dims[0] >= _ROW_BUFFER and fn in _ROW_SAFE and math.prod(dims) > _DEFAULT_BUFFER:
+        return wrap_ndarray(_row_buffered(fn, *views))
     return wrap_ndarray(fn(*views))
 
 
@@ -111,6 +163,13 @@ _COMPARE = {
     "==": np.equal,
     "!=": np.not_equal,
 }
+
+# The ufuncs whose bits no numpy loop choice can move, so they may run under
+# _row_buffered: where two NaNs meet, a subtract or a divide keeps the first
+# operand's under either buffer, and a comparison returns no NaN. Under the
+# small buffer np.add and np.multiply can keep the other NaN, and np.power
+# takes its stride-0 fast paths for the exponents 2, 0.5 and -1.
+_ROW_SAFE = frozenset((np.subtract, np.divide, *_COMPARE.values()))
 
 _UNARY = {
     "abs": np.abs,

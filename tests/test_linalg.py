@@ -370,8 +370,9 @@ def test_products_give_ieee_results_without_warnings():
 # --- numpy's ufunc buffer around long rows ---
 
 def _buffer_calls():
-    """(call, error) pairs of matmul, mldivide and eig_sym: each call returns
-    or raises error. The singular solve raises inside the small-buffer scope."""
+    """(call, error) pairs of matmul, mldivide, eig_sym and a long-row
+    subtract: each call returns or raises error. The singular solve raises
+    inside the small-buffer scope."""
     big = Prng(3).normal((200, 200))
     a = Prng(4).normal((80, 80)).view().copy()
     a += np.diag(np.abs(a).sum(axis=1) + 1.0)
@@ -384,6 +385,7 @@ def _buffer_calls():
         (lambda: matmul(Prng(7).normal((8, 8)), Prng(8).normal((8, 8))), None),
         (lambda: mldivide(wrap_ndarray(a), b), None),
         (lambda: eig_sym(s), None),
+        (lambda: big - Prng(12).normal((1, 200)), None),
         (lambda: mldivide(wrap_ndarray(zero_col), b), SingularMatrixError),
         (lambda: eig_sym(s, max_sweeps=1), ConvergenceError),
         (lambda: matmul(big, Prng(9).normal((100, 200))), ShapeError),
@@ -441,7 +443,7 @@ def test_only_long_rows_set_the_buffer(monkeypatch):
                     tile = iv[i:i + 8, j:j + 8]
                     want = _two_multiply_fold(_two_multiply_fold(left, tile), right)
                     assert_bits(out.view()[i:i + 8, j:j + 8], want, f"{transform.__name__} {i},{j}")
-    scoped = [linalg._ROW_BUFFER, 8192]  # the small buffer, then the caller's back
+    scoped = [ops._ROW_BUFFER, 8192]  # the small buffer, then the caller's back
     for (m, k, n), made in [((8, 8, 8), []), ((40, 400, 40), []), ((80, 400, 63), []),
                             ((2, 3, 64), scoped), ((200, 200, 200), scoped)]:
         assert calls(matmul, Prng(m).normal((m, k)), Prng(n).normal((k, n)))[1] == made, (m, k, n)
@@ -449,6 +451,20 @@ def test_only_long_rows_set_the_buffer(monkeypatch):
         a = Prng(n).normal((n, n)).view() + n * np.eye(n)
         assert calls(mldivide, wrap_ndarray(a), Prng(n + 1).normal((n, 1)))[1] == made, n
     assert calls(eig_sym, wrap_ndarray(_random_symmetric(40, 48)))[1] == []
+    # ops: a subtract, divide or comparison that repeats an operand along the
+    # rows of a result with at least ops._ROW_BUFFER rows and more than one
+    # default buffer of entries
+    long_rows, row = Prng(13).normal((300, 300)), Prng(14).normal((1, 300))
+    assert calls(ops.ew_binary, "-", long_rows, row)[1] == scoped
+    assert calls(ops.compare, "<", row, long_rows)[1] == scoped
+    for op in ("+", "*", "^"):
+        assert calls(ops.ew_binary, op, long_rows, row)[1] == [], op
+    for a, b in [((300, 5), (1, 5)), ((80, 400), (80, 1)), ((63, 300), (1, 300))]:
+        assert calls(ops.ew_binary, "-", Prng(15).normal(a), Prng(16).normal(b))[1] == [], (a, b)
+    mask = ops.compare(">", long_rows, 0.0)
+    assert calls(ops.merge, mask, long_rows, row)[1] == []
+    assert calls(ops.ew_binary, "-", long_rows, 1.0)[1] == []
+    assert calls(ops.ew_unary, "sqrt", long_rows)[1] == []
 
 
 @pytest.mark.parametrize("n", [64, 65, 100, 129, 200])
@@ -465,7 +481,7 @@ def test_long_row_products_keep_the_fold_bits_nan_included(n):
             av, bv = _nan_laced(rng, m, k, np.s_[:, 0]), _nan_laced(rng, k, n, np.s_[0])
             got = linalg._product(av, bv)
             with np.errstate():
-                np.setbufsize(linalg._ROW_BUFFER)
+                np.setbufsize(ops._ROW_BUFFER)
                 want = _two_multiply_fold(av, bv)
             assert_bits(got, want, f"{m}x{k}x{n}")
 

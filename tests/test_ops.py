@@ -476,6 +476,47 @@ def test_broadcast_callers_match_numpy(data):
     assert_bits(mask_and(mask, mask2), vm & vm2)
 
 
+# --- numpy's ufunc buffer around repeated rows ---
+
+# NaNs of two payloads and both signs, +-0, +-inf, subnormals and +-max; and
+# the exponents of numpy's stride-0 power fast paths, 2, 0.5 and -1
+_BUFFER_SPECIALS = np.concatenate([
+    np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF80000DEADBEEF, 0xFFF80000DEADBEEF,
+              0, 1 << 63, 0x7FF0000000000000, 0xFFF0000000000000, 1, (1 << 63) | 1,
+              0x000FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64),
+    [2.0, 0.5, -1.0],
+])
+
+
+@pytest.mark.parametrize("a_dims, b_dims", [
+    ((2000, 5, 1), (1, 5, 26)), ((1, 5, 26), (2000, 5, 1)), ((300, 300), (1, 300)),
+    ((1, 300), (129, 1)), ((70, 300), (1, 300)),
+])
+def test_repeated_rows_keep_the_default_buffer_bits(a_dims, b_dims):
+    # these shapes are past the row-buffer rule's floor: whatever buffer an
+    # operator runs under, its bits, NaN sign and payload included, are
+    # numpy's on the expanded views under the default buffer, in both
+    # operand orders. + and * can keep the other NaN where two meet under the
+    # small buffer, and ^ takes its stride-0 fast paths, so they stay out of it
+    rng = np.random.default_rng(math.prod(a_dims) + math.prod(b_dims))
+    xs = []
+    for dims in (a_dims, b_dims):
+        v = rng.standard_normal(math.prod(dims))
+        hit = rng.random(v.size) < 0.3
+        v[hit] = rng.choice(_BUFFER_SPECIALS, int(hit.sum()))
+        xs.append(NumArray(dims, v))
+    assert np.getbufsize() == ops._DEFAULT_BUFFER
+    for a, b in (xs, xs[::-1]):
+        _, (va, vb) = _expanded([a, b])
+        with np.errstate(all="ignore"):
+            for op, fn in (("-", np.subtract), ("/", np.divide), ("+", np.add),
+                           ("*", np.multiply), ("^", np.power)):
+                assert_bits(ew_binary(op, a, b), fn(va, vb), f"{a.dims} {op} {b.dims}")
+            for op, fn in (("<", np.less), ("<=", np.less_equal), (">", np.greater),
+                           (">=", np.greater_equal), ("==", np.equal), ("!=", np.not_equal)):
+                assert_bits(compare(op, a, b), fn(va, vb), f"{a.dims} {op} {b.dims}")
+
+
 def test_merge_2d_mask_against_3d_operands():
     m = compare(">", from_rows([[1, -1], [-1, 1]]), 0.0)
     a = wrap_ndarray(np.arange(8.0).reshape(2, 2, 2))
