@@ -19,10 +19,13 @@ This gate is one of three equality rules, each kept in one place:
 
 The generator is splitmix64 in counter mode: draw i of a stream seeded with
 s mixes the 64-bit state s + i * 0x9E3779B97F4A7C15 through two
-xor-shift-multiply rounds. Identical seeds give identical sequences on any
-platform. Uniform doubles take the top 53 bits / 2^53; normal deviates come
-from Box-Muller pairs; bounded integers use rejection sampling to stay
-exactly uniform.
+xor-shift-multiply rounds. Uniform doubles take the top 53 bits / 2^53;
+normal deviates come from Box-Muller pairs; bounded integers use rejection
+sampling to stay exactly uniform. Identical seeds give identical uniforms and
+integers on any platform. Normal deviates follow numpy's SIMD dispatch of
+log, cos and sin, which need not match the C library's rounding: AVX-512
+np.log differed from libm in 695 of 200,000 draws on a 2-vCPU Xeon (numpy
+2.4.6), and with dispatch held to X86_V3 (AVX2) in 0.
 """
 
 from __future__ import annotations

@@ -14,9 +14,13 @@ The metric handles are evaluated in blocks of the reference set's rows. The
 one-line broadcast body builds an n x d x m difference and its square, which
 for 2000 x 5 against 500 x 5 points is two 40 MB temporaries; applied to b
 rows of y at a time, each block's intermediates hold at most _METRIC_BLOCK
-doubles and stay in a core's cache. Every entry still comes from the same
-elementwise ops and the same ascending fold over the coordinates, so the
-blocks joined along columns are bit-identical to one whole-set evaluation.
+doubles and stay in a core's cache. One n x d x b scratch is allocated per
+call and reused by every block: the difference is written into it, squared
+or made absolute in place, and summed straight into the block's columns of
+the result, which is allocated once, so no block result is built and none is
+joined. Every entry still comes from the same elementwise ops and the same
+ascending fold over the coordinates, so the result is bit-identical to one
+whole-set evaluation.
 """
 
 from __future__ import annotations
@@ -25,13 +29,15 @@ import math
 from typing import Callable, Tuple
 
 from .core import (
-    NumArray, _allocated, _check_rank2, _check_square, _choice, _positive, cat, colon_range, flipud,
-    from_rows, permute, reshape, wrap_ndarray, zeros,
+    NumArray, _allocated, _check_rank2, _check_square, _choice, _positive, _shaped, _view_at_rank,
+    cat, colon_range, flipud, from_rows, permute, reshape, wrap_ndarray, zeros,
 )
 from .errors import ArgumentError, ContractError, ShapeError
 from .indexing import ALL, END, IndexExpr, assign_indexed, delete_elements, extract, isnan_mask, span
 from .linalg import EigResult, _product, dctmtx, eig_sym, matmul, spdiags_extract
-from .ops import compare, ew_unary, extremum, mask_or, merge, reduce_along_dim
+from .ops import (
+    _ascending, _broadcast_apply, compare, ew_unary, extremum, mask_or, merge, reduce_along_dim,
+)
 
 import numpy as np
 
@@ -194,46 +200,69 @@ def _check_point_sets(x: NumArray, y: NumArray):
         raise ShapeError(f"point sets disagree on dimension: {x.dims} vs {y.dims}")
 
 
-# Cells of one block's n x d x b intermediates: 2**18 doubles are 2 MiB, the
-# L2 of one core of the 2-vCPU Xeon it was swept on (CHANGES.md: _METRIC_BLOCK).
+# Cells of the n x d x b scratch that holds one block's difference and its
+# terms: 2**18 doubles are 2 MiB, the L2 of one core of the 2-vCPU Xeon it was
+# swept on (CHANGES.md: _METRIC_BLOCK). The scratch is allocated once per call
+# and reused by every block, which writes its sums straight into its columns
+# of the result, so no block-sized temporary and no joined copy of the result
+# is freed per block and faulted in again on the next.
 _METRIC_BLOCK = 1 << 18
 
 
-def _in_row_blocks(body: MetricFn, x: NumArray, y: NumArray) -> NumArray:
-    """body(x, y), applied to blocks of b rows of y and joined along columns,
-    where b = max(1, _METRIC_BLOCK // x.numel); a y of at most b rows is
-    passed whole."""
+@np.errstate(all="ignore")  # IEEE results: inf - inf is NaN, a square overflows to inf
+def _in_row_blocks(x: NumArray, y: NumArray, term, root=None) -> NumArray:
+    """The x.rows x y.rows sums over k, in ascending order, of term(x(i,k) -
+    y(j,k)), each then mapped by root when given; term and root are unary
+    ufuncs, applied in place.
+
+    y is taken b = max(1, _METRIC_BLOCK // x.numel) rows at a time (all of
+    it when it has at most b). The result is allocated once, and one
+    n x d x b scratch once per call. For each block, ops' broadcast subtract
+    writes x - permute(y block, [3 2 1]) into the scratch, under its buffer
+    rule; term maps it in place; ops._ascending sums it along the coordinates
+    straight into the block's columns of the result, and root maps those in
+    place. These are the one-line body's ops and fold on the same values, so
+    the result is its bits, with no block result built and none joined.
+    """
     _check_point_sets(x, y)
-    b = max(1, _METRIC_BLOCK // max(1, x.numel))
-    m = y.rows
-    if m <= b:
-        return body(x, y)
-    return cat(2, [body(x, extract(y, IndexExpr.of(span(j0, min(j0 + b - 1, m)), ALL)))
-                   for j0 in range(1, m + 1, b)])
+    (n, d), m = x.dims, y.rows
+    if not (d and m):  # no block, or every sum is empty: +0.0, whose root is +0.0
+        return zeros((n, m))
+    b = min(m, max(1, _METRIC_BLOCK // max(1, x.numel)))
+    res = _shaped(_allocated(f"a {n}x{m} metric result", np.empty, n * m), (n, m))
+    scratch = _shaped(_allocated(f"a {n}x{d}x{b} metric block", np.empty, n * d * b), (n, d, b))
+    yt = _view_at_rank(permute(y, (3, 2, 1)), 3)
+    for j0 in range(0, m, b):
+        j1 = min(j0 + b, m)
+        block = wrap_ndarray(yt[:, :, j0:j1])
+        diff = _broadcast_apply(np.subtract, x, block, out=scratch[:, :, :j1 - j0])
+        term(diff, diff)
+        cols = res[:, j0:j1]
+        _ascending(np.add, diff, 1, cols[:, np.newaxis, :])
+        if root is not None:
+            root(cols, cols)
+    return wrap_ndarray(res)
 
 
 def metric_euclidean(x: NumArray, y: NumArray) -> NumArray:
     """Root of summed squared differences; entry (i,j) pairs row i of x with row j of y.
 
-    Evaluated in blocks of y's rows, so the n x d x b difference stays in cache.
+    Bit for bit the one-line body sqrt(sum((x - permute(y, [3 2 1])) .^ 2, 2)),
+    permuted to x.rows x y.rows, evaluated in blocks of y's rows in one reused
+    scratch (_in_row_blocks). A square is x*x, as the body's .^ 2 is on any
+    difference of more than one entry; on a 1 x 1 one it is numpy's pow.
     """
-    def body(x, y):
-        diff = x - permute(y, (3, 2, 1))
-        return permute(ew_unary("sqrt", reduce_along_dim("sum", diff ** 2, 2)), (1, 3, 2))
-
-    return _in_row_blocks(body, x, y)
+    return _in_row_blocks(x, y, np.square, np.sqrt)
 
 
 def metric_manhattan(x: NumArray, y: NumArray) -> NumArray:
     """Summed absolute differences; entry (i,j) pairs row i of x with row j of y.
 
-    Evaluated in blocks of y's rows, so the n x d x b difference stays in cache.
+    Bit for bit the one-line body sum(abs(x - permute(y, [3 2 1])), 2),
+    permuted to x.rows x y.rows, evaluated in blocks of y's rows in one reused
+    scratch (_in_row_blocks).
     """
-    def body(x, y):
-        diff = x - permute(y, (3, 2, 1))
-        return permute(reduce_along_dim("sum", ew_unary("abs", diff), 2), (1, 3, 2))
-
-    return _in_row_blocks(body, x, y)
+    return _in_row_blocks(x, y, np.abs)
 
 
 def _returned(res, dims, who: str) -> NumArray:

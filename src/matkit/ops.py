@@ -17,7 +17,10 @@ with at least _ROW_BUFFER rows and more than one default buffer of entries
 runs under a _ROW_BUFFER-element buffer, where numpy's default chunking
 would set its cost. merge is a bit select on the operands' int64 bits
 (_select), not a branch per entry, so its cost does not depend on the mask's
-pattern, and each entry is a copy of one operand's bits.
+pattern, and each entry is a copy of one operand's bits. The path, and the
+fold _ascending below, take an optional destination (out) that the caller
+owns: the metric handles' block loop in idioms writes each block's
+difference into one reused scratch and its sums into the result that way.
 
 Reductions accumulate in ascending index order, deliberately: no pairwise or
 compensated summation, so a vectorized sum is bit-for-bit equal to the naive
@@ -100,7 +103,7 @@ def _row_buffered(fn, *args):
         np.setbufsize(old)
 
 
-def _broadcast_apply(fn, *operands):
+def _broadcast_apply(fn, *operands, out=None):
     """The one broadcasting path: fn over right-padded views of the operands.
 
     The result shape folds the array operands' dims by the singleton-expansion
@@ -119,6 +122,11 @@ def _broadcast_apply(fn, *operands):
     _ROW_BUFFER rows and more than _DEFAULT_BUFFER entries: below that the
     set and restore cost more than they save. Everything else, and an operand
     repeated along another dim only, keeps numpy's default buffer.
+
+    With out, an ndarray of the result's shape that the caller owns (a ufunc
+    fn and array operands only), fn writes into out, and out is returned as it
+    is: its shape, not the operands' dims, sets the rank of the views and the
+    buffer rule, so a block whose trailing extent is 1 still lines up.
     """
     # plain loops, not comprehensions: this runs on every kernel call, and a
     # comprehension costs a frame of its own
@@ -132,6 +140,8 @@ def _broadcast_apply(fn, *operands):
             dims = _broadcast_dims(dims, x.dims)
     if dims is None:
         dims = (1, 1)
+    if out is not None:
+        dims = out.shape
     # operand dims are normalized, so no operand outranks the result
     rank, single = len(dims), dims == (1, 1)
     views, repeated = [], False
@@ -142,9 +152,13 @@ def _broadcast_apply(fn, *operands):
                 repeated = True
         else:
             views.append(np.array([[x]]) if single else x)
+    if out is not None:
+        views.append(out)  # by position: no keyword parsing
     if repeated and dims[0] >= _ROW_BUFFER and fn in _ROW_SAFE and math.prod(dims) > _DEFAULT_BUFFER:
-        return wrap_ndarray(_row_buffered(fn, *views))
-    return wrap_ndarray(fn(*views))
+        res = _row_buffered(fn, *views)
+    else:
+        res = fn(*views)
+    return res if out is not None else wrap_ndarray(res)
 
 
 _BINARY = {
@@ -221,9 +235,12 @@ def _fold_into(ufunc, acc: np.ndarray, slices) -> np.ndarray:
 
 
 @np.errstate(all="ignore")  # inf - inf is NaN and overflow is inf, as IEEE-754 says
-def _ascending(ufunc, v: np.ndarray, ax: int) -> np.ndarray:
+def _ascending(ufunc, v: np.ndarray, ax: int, out=None) -> np.ndarray:
     """ufunc (np.add or np.multiply) folded along axis ax in ascending index
-    order; ax is kept, extent 1. v must have a nonzero extent along ax.
+    order; ax is kept, extent 1. v must have a nonzero extent along ax. With
+    out, an ndarray of the result's shape, the fold is written there and out
+    returned: the reduce writes into it directly, and a scan's result is
+    copied in.
 
     When at least two lanes share ax and ax is not the smallest-stride axis
     of extent > 1, this is one ufunc.reduce on v in place from the exact
@@ -236,10 +253,14 @@ def _ascending(ufunc, v: np.ndarray, ax: int) -> np.ndarray:
     NaNs meet. Either way the bits are _scan's, NaN sign and payload included.
     """
     if _across_lanes(v, ax):
-        out = ufunc.reduce(v, axis=ax, initial=-0.0 if ufunc is np.add else 1.0, keepdims=True)
-        if not np.count_nonzero(np.isnan(out)):
-            return out
-    return _scan(ufunc, v, ax)
+        res = ufunc.reduce(v, axis=ax, initial=-0.0 if ufunc is np.add else 1.0, keepdims=True, out=out)
+        if not np.count_nonzero(np.isnan(res)):
+            return res
+    res = _scan(ufunc, v, ax)
+    if out is None:
+        return res
+    np.copyto(out, res)
+    return out
 
 
 def _across_lanes(v: np.ndarray, ax: int) -> bool:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from matkit import (
     boustrophedon_scan,
     dct2d,
     distance_matrix,
+    ew_unary,
     from_rows,
     full,
     idct2d,
@@ -28,6 +30,8 @@ from matkit import (
     metric_manhattan,
     nearest_neighbor,
     pca,
+    permute,
+    reduce_along_dim,
     replace_neg_nan,
     replace_negative,
     rgb2gray,
@@ -39,7 +43,7 @@ from matkit import core, idioms
 from matkit.core import wrap_ndarray
 from matkit.linalg import dctmtx
 
-from helpers import assert_bits, assert_close, assert_exact, max_abs_diff
+from helpers import assert_bits, assert_close, assert_exact, double, max_abs_diff
 
 LINEAR4 = [16, 5, 9, 4, 2, 11, 7, 14, 3, 10, 6, 15, 13, 8, 12, 1]
 BOUSTRO4 = [16, 5, 9, 4, 14, 7, 11, 2, 3, 10, 6, 15, 1, 12, 8, 13]
@@ -344,8 +348,9 @@ def test_metrics_match_their_loops_across_real_blocks():
 
 def test_metric_builds_no_whole_set_difference():
     # the one-line body built a 2000 x 5 x 500 difference and its square,
-    # 84 MiB at peak; now the peak is the block results and their join, plus
-    # a block's difference and its square
+    # 84 MiB at peak; now the peak is the result plus the one block scratch,
+    # with 10% of a block for everything else: a second block-sized
+    # temporary, or block results joined into a second result, exceeds it
     x, y = Prng(44).normal((2000, 5)), Prng(45).normal((500, 5))
     out_bytes = 2000 * 500 * 8
     for metric in (metric_euclidean, metric_manhattan):
@@ -355,7 +360,96 @@ def test_metric_builds_no_whole_set_difference():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * out_bytes + 2 * idioms._METRIC_BLOCK * 8, metric.__name__
+        assert peak < out_bytes + 1.1 * idioms._METRIC_BLOCK * 8, metric.__name__
+
+
+def _one_line_euclidean(x: NumArray, y: NumArray) -> NumArray:
+    diff = x - permute(y, (3, 2, 1))
+    return permute(ew_unary("sqrt", reduce_along_dim("sum", diff ** 2, 2)), (1, 3, 2))
+
+
+def _one_line_manhattan(x: NumArray, y: NumArray) -> NumArray:
+    diff = x - permute(y, (3, 2, 1))
+    return permute(reduce_along_dim("sum", ew_unary("abs", diff), 2), (1, 3, 2))
+
+
+_ONE_LINE = (
+    (metric_euclidean, _one_line_euclidean, _loop_metric_euclidean),
+    (metric_manhattan, _one_line_manhattan, _loop_metric_manhattan),
+)
+
+# NaNs of two payloads and both signs, signed zeros and infinities, the
+# largest finite magnitudes (whose differences and squares overflow) and
+# subnormals
+_SPECIALS = (
+    double(0x7FF8000000000001), double(0xFFF8000000000001),
+    double(0x7FF800000000ABCD), double(0xFFF800000000ABCD),
+    0.0, -0.0, math.inf, -math.inf, sys.float_info.max, -sys.float_info.max, 5e-324, -2.5e-310,
+)
+
+
+def _spiked(r: int, c: int, seed: int, parity: int) -> NumArray:
+    """r x c draws from [-4, 4); in the first half of the rows, those with
+    i % 2 == parity have one of _SPECIALS, in turn, in every other entry. The
+    other rows hold plain values, so the blocks of y's second half take the
+    reduce, or for n = 1 the scan, with no NaN to send them to the scan."""
+    buf = Prng(seed).uniform((r, c)).buf * 8 - 4
+    turn = seed
+    for i in range(parity, (r + 1) // 2, 2):
+        for k in range(i % 2, c, 2):
+            buf[k * r + i] = _SPECIALS[turn % len(_SPECIALS)]
+            turn += 1
+    return NumArray((r, c), buf)
+
+
+@pytest.mark.parametrize("n, m, d, rows", [
+    (4, 9, 3, 2),  # a partial last block of one row
+    (5, 23, 4, 7),  # a partial last block of two rows
+    (6, 40, 5, None),  # one block of all of y
+    (1, 11, 20, 3),  # one lane per sum, which numpy's reduce would sum pairwise
+    (1, 5, 33, None),
+    (1, 6, 1, 1),  # a one-entry difference per block, as the whole set's 1 x 1 x 6
+    (3, 0, 2, 1),  # m = 0
+    (4, 9, 0, 2),  # d = 0
+    (0, 9, 2, 2),  # n = 0
+])
+def test_metrics_are_their_one_line_bodies_bit_for_bit(n, m, d, rows):
+    # rule K: the blocks in one scratch give the whole-set body's bits
+    x, y = _spiked(n, d, 50 + n, 1), _spiked(m, d, 60 + m, 0)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        if rows is not None:
+            mp.setattr(idioms, "_METRIC_BLOCK", rows * max(1, x.numel))
+        for metric, body, loop in _ONE_LINE:
+            got = metric(x, y)
+            assert_bits(got, body(x, y), metric.__name__)
+            assert_bits(got, loop(x, y), metric.__name__)
+
+
+@pytest.mark.parametrize("a, b", [
+    (3.0, 0.5), (1.1, 0.3), (-0.0, 0.0), (math.inf, math.inf), (5e-324, 0.0),
+    (sys.float_info.max, -sys.float_info.max), (double(0xFFF800000000ABCD), 1.0),
+])
+def test_metrics_of_one_entry_differences_are_their_loops_bit_for_bit(a, b):
+    # the whole set's 1 x 1 difference is a 1 x 1 result, where the public
+    # ^ 2 reaches pow; the metric squares by x*x, as its loop twin does
+    x, y = from_rows([[a]]), from_rows([[b]])
+    with np.errstate(all="ignore"):
+        for metric, _, loop in _ONE_LINE:
+            assert_bits(metric(x, y), loop(x, y), metric.__name__)
+
+
+def test_metric_results_share_no_memory_and_keep_their_bits():
+    # the scratch is reused block after block: no result may be a view of it,
+    # of another call's result or of an input, and a later call must leave an
+    # earlier result as it was (600 x 40 points take blocks of 10 rows of y)
+    x, y = Prng(48).normal((600, 40)), Prng(49).normal((25, 40))
+    for metric in (metric_euclidean, metric_manhattan):
+        first = metric(x, y)
+        kept = first.view().copy()
+        second = metric(x, y)
+        for a, b in ((first, second), (first, x), (first, y), (second, x), (second, y)):
+            assert not np.shares_memory(a.buf, b.buf), metric.__name__
+        assert_bits(first, kept, metric.__name__)
 
 
 # --- nearest neighbor ---
