@@ -432,6 +432,19 @@ def _shaped(flat: np.ndarray, dims: tuple) -> np.ndarray:
     return flat.reshape(dims, order="F")
 
 
+def _sheared(flat: np.ndarray, rows: int, origin: tuple, shape: tuple, steps: tuple) -> np.ndarray:
+    """A 2-D view, shaped shape, of the matrix with `rows` rows that the flat
+    buffer holds down the columns first. Entry [0, 0] is the matrix's entry
+    at the 0-based origin (i, j); a step along the view's axis t moves
+    steps[t] = (down, right) entries in the matrix, so ((1, -1), (0, 1)) reads
+    each row one column further left than the row above it. numpy checks
+    that every entry of the view lies inside the buffer."""
+    (i, j), ((d0, r0), (d1, r1)) = origin, steps
+    size = flat.itemsize
+    return np.ndarray(shape, flat.dtype, flat, (i + j * rows) * size,
+                      ((d0 + r0 * rows) * size, (d1 + r1 * rows) * size))
+
+
 # -- construction ---------------------------------------------------------
 
 def zeros(dims) -> NumArray:

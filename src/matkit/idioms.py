@@ -8,7 +8,11 @@ kernel's broadcasting and indexing idioms.
 Scan results are 1 x numel row vectors listing the matrix elements in scan
 order; every scan is a permutation of its input. The scan loops flatten with
 the row count (j-1)*rows + i; writing the column count there would only be
-correct for square matrices.
+correct for square matrices. The vectorized scans are written as in the
+paper, and pay for no copy that notation does not ask for: a value a scan
+has just built, and shares with no one, is written in place
+(indexing._assign_owned) rather than copied first, and m(:) is one copy of
+m's buffer. The input is never written, and every result is a new buffer.
 
 The metric handles are evaluated in blocks of the reference set's rows. The
 one-line broadcast body builds an n x d x m difference and its square, which
@@ -33,7 +37,7 @@ from .core import (
     cat, colon_range, flipud, from_rows, permute, reshape, wrap_ndarray, zeros,
 )
 from .errors import ArgumentError, ContractError, ShapeError
-from .indexing import ALL, END, IndexExpr, assign_indexed, delete_elements, extract, isnan_mask, span
+from .indexing import ALL, END, IndexExpr, _assign_owned, delete_elements, extract, isnan_mask, span
 from .linalg import EigResult, _product, dctmtx, eig_sym, matmul, spdiags_extract
 from .ops import (
     _ascending, _broadcast_apply, compare, ew_unary, extremum, mask_or, merge, reduce_along_dim,
@@ -49,7 +53,10 @@ _VARIANTS = ("loop", "vectorized")
 # -- matrix scans -----------------------------------------------------------
 
 def linear_scan(m: NumArray, variant: str = "vectorized") -> NumArray:
-    """Read the elements column by column, top to bottom."""
+    """Read the elements column by column, top to bottom.
+
+    Vectorized, m(:)': one copy of m's buffer, read as a row.
+    """
     _choice(variant, _VARIANTS, "variant")
     _check_rank2(m, "linear_scan")
     if variant == "loop":
@@ -64,7 +71,11 @@ def linear_scan(m: NumArray, variant: str = "vectorized") -> NumArray:
 
 
 def boustrophedon_scan(m: NumArray, variant: str = "vectorized") -> NumArray:
-    """Read columns alternately top-down and bottom-up, like the ox plows."""
+    """Read columns alternately top-down and bottom-up, like the ox plows.
+
+    Vectorized: m(:) copies m once, and that copy, shaped as m, takes m's
+    even columns upside down in place; read as a row, it is the scan.
+    """
     _choice(variant, _VARIANTS, "variant")
     _check_rank2(m, "boustrophedon_scan")
     rows, cols = m.dims
@@ -79,9 +90,10 @@ def boustrophedon_scan(m: NumArray, variant: str = "vectorized") -> NumArray:
                     v = buf[(j - 1) * rows + (rows - i + 1) - 1]
                 out[(j - 1) * rows + i - 1] = v
         return NumArray((1, rows * cols), out)
+    flipped = reshape(extract(m, IndexExpr.linear(ALL)), m.dims)  # m(:), a copy this call owns
     even = IndexExpr.of(ALL, span(2, END, 2))
-    flipped = assign_indexed(m, even, flipud(extract(m, even)))
-    return extract(flipped, IndexExpr.linear(ALL)).T
+    flipped = _assign_owned(flipped, even, flipud(extract(m, even)))
+    return reshape(flipped, (1, m.numel))  # flipped(:)': its own buffer, already in scan order
 
 
 def zigzag_scan(m: NumArray, variant: str = "vectorized") -> NumArray:
@@ -90,6 +102,10 @@ def zigzag_scan(m: NumArray, variant: str = "vectorized") -> NumArray:
     Starts at the bottom-left element moving up-right; this is the
     coefficient ordering used on transform blocks in JPEG-style pipelines
     (up to the chosen starting corner).
+
+    Vectorized: the 1-based positions of m, arranged by spdiags_extract as
+    one band column per diagonal, have their even bands flipped in place;
+    the zero padding is dropped, and one gather reads m at what is left.
     """
     _choice(variant, _VARIANTS, "variant")
     _check_rank2(m, "zigzag_scan")
@@ -126,9 +142,9 @@ def zigzag_scan(m: NumArray, variant: str = "vectorized") -> NumArray:
                 c = -c
         return NumArray((1, len(out)), out)
     ind = reshape(colon_range(1, 1, rows * cols), (rows, cols))
-    bands = spdiags_extract(ind).bands
+    bands = spdiags_extract(ind).bands  # built by this call: no one else holds it
     even = IndexExpr.of(ALL, span(2, END, 2))
-    bands = assign_indexed(bands, even, flipud(extract(bands, even)))
+    bands = _assign_owned(bands, even, flipud(extract(bands, even)))
     kept = delete_elements(bands, compare("==", bands, 0))
     return extract(m, IndexExpr.linear(kept))
 

@@ -14,14 +14,18 @@ positions in the flat buffer. A Cartesian expression with one selector per
 dimension, each ALL, an in-range int or END-k, or a nonempty span inside its
 extent (``A(i, :)``, ``A(:, 2:2:end)``, ``A(j0:j1, :)``), selects a box
 that numpy basic slices of the array's view address: extraction, assignment
-and deletion act through those slices and build no position array. Every
-other expression, and every error, goes through the positions. Either way an
-extraction is a copy that shares no memory with the array, and an
-assignment returns a new array. Linear extraction keeps the index
-expression's own shape (a range reads as a row) except ALL and a mask, which
-always yield a column. Assignment takes a scalar rhs, or in the linear form
-one element per selected cell (Octave's ``A(I) = B``), in the Cartesian form
-an array of exactly the selection's shape.
+and deletion act through those slices and build no position array. An
+extraction of A(:) is one copy of the flat buffer. Every other expression,
+and every error, goes through the positions, which an extraction gathers
+with one np.take. Either way an extraction is a copy that shares no memory
+with the array, and an assignment returns a new array: assign_indexed writes
+into a copy of the buffer. Its private twin _assign_owned writes into the
+array's own buffer, for a value its caller has just built and shares with
+no one. Linear extraction keeps the index expression's own shape (a range
+reads as a row) except ALL and a mask, which always yield a column.
+Assignment takes a scalar rhs, or in the linear form one element per
+selected cell (Octave's ``A(I) = B``), in the Cartesian form an array of
+exactly the selection's shape.
 """
 
 from __future__ import annotations
@@ -245,12 +249,18 @@ class IndexExpr:
 
 
 def extract(a: NumArray, ix: IndexExpr) -> NumArray:
-    """The elements at the selected positions, shaped as the selection."""
+    """The elements at the selected positions, shaped as the selection.
+
+    A box is copied through basic slices, A(:) is one copy of the flat
+    buffer, and any other selection is one np.take of its positions.
+    """
     slices = ix._slices(a)
     if slices is not None:  # a copy in the view's own layout, which wrap_ndarray keeps
         return wrap_ndarray(a.view()[slices].copy(order="K"))
+    if ix.linear_sel is ALL:
+        return wrap_ndarray(_shaped(a.buf.copy(), (a.numel, 1)))
     pos, dims = ix._positions(a)
-    return wrap_ndarray(_shaped(a.buf[pos], dims))  # dims are normalized already
+    return wrap_ndarray(_shaped(np.take(a.buf, pos), dims))  # dims are normalized already
 
 
 def _vector_dims(a: NumArray, n: int) -> tuple:
@@ -273,8 +283,16 @@ def assign_indexed(a: NumArray, ix: IndexExpr, rhs) -> NumArray:
     linear form it holds one element per selected cell, taken in column-major
     order; in the Cartesian form it has exactly the selection's shape. A
     vector indexed linearly past its end grows with zero fill (rows stay
-    rows, columns stay columns); matrices never auto-grow.
+    rows, columns stay columns); matrices never auto-grow. a is left as it
+    was: the cells are written into a copy of its buffer.
     """
+    return _assign_owned(NumArray(a.dims, a.buf.copy()), ix, rhs)
+
+
+def _assign_owned(a: NumArray, ix: IndexExpr, rhs) -> NumArray:
+    """assign_indexed writing into a's own buffer, with no copy: for a value
+    that its caller has just built and shares with no one, such as a scan's
+    band matrix. The result holds that buffer, unless a vector grows."""
     scalar_rhs = _is_scalar_rhs(rhs)
     sel = ix.linear_sel
     if scalar_rhs and _is_int(sel) and a.rank == 2 and min(a.dims) <= 1 and sel > a.numel:
@@ -287,18 +305,16 @@ def assign_indexed(a: NumArray, ix: IndexExpr, rhs) -> NumArray:
     if slices is not None:
         shape = a.view()[slices].shape
         if scalar_rhs or rhs.dims == _trim(shape):  # else the body below names the mismatch
-            buf = a.buf.copy()
-            _shaped(buf, a.dims)[slices] = float(rhs) if scalar_rhs else _shaped(rhs.buf, shape)
-            return NumArray(a.dims, buf)
+            _shaped(a.buf, a.dims)[slices] = float(rhs) if scalar_rhs else _shaped(rhs.buf, shape)
+            return a
     pos, sel_dims = ix._positions(a)
     if not scalar_rhs:
         if ix.is_linear and rhs.numel != pos.size:
             raise ShapeError(f"assignment rhs has {rhs.numel} elements for {pos.size} cells")
         if not ix.is_linear and rhs.dims != sel_dims:
             raise ShapeError(f"assignment rhs shape {rhs.dims} != selection shape {sel_dims}")
-    buf = a.buf.copy()
-    buf[pos] = float(rhs) if scalar_rhs else rhs.buf
-    return NumArray(a.dims, buf)
+    a.buf[pos] = float(rhs) if scalar_rhs else rhs.buf
+    return a
 
 
 def delete_elements(a: NumArray, where) -> NumArray:

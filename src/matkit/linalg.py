@@ -34,6 +34,10 @@ arrays are built once per order and cached read-only, and its column and row
 rotations each gather every pair and partner line at once. It only handles
 symmetric input, which is all the covariance-style workloads here need, and
 it hands back orthonormal vectors by construction.
+
+spdiags_extract writes the matrix into a zeroed band matrix through sheared
+strided views (core._sheared): one write for a square or wide matrix, three
+for a tall one, with no loop over the diagonals.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ import numpy as np
 from . import ops
 from .core import (
     NumArray, _allocated, _check_rank2, _check_square, _check_vector, _integral, _positive,
-    wrap_ndarray,
+    _shaped, _sheared, wrap_ndarray,
 )
 from .errors import ArgumentError, ConvergenceError, ShapeError, SingularMatrixError
 
@@ -431,26 +435,43 @@ class DiagBand:
     Column k holds the diagonal with offset offsets[k] (entries A(i, i+d)
     in ascending i); offsets run -(m-1) .. n-1, bottom-left to top-right.
     Diagonals with offset >= 0 sit at the top of their column, the rest at
-    the bottom; the padding position is irrelevant to every consumer here,
-    which drops the zero cells.
+    the bottom, and +0.0 fills the other cells. The bands have min(m, n) rows,
+    so an empty matrix gives no rows and one column per offset: a 0 x 3
+    matrix has offsets (1, 2), a 3 x 0 one (-2, -1) and 0 x 0 none.
     """
 
     bands: NumArray
     offsets: tuple
 
 
+# _sheared's steps for a view whose row i starts i columns left of its row 0
+_SHIFT_LEFT = ((1, -1), (0, 1))
+
+
 def spdiags_extract(a: NumArray) -> DiagBand:
-    """Arrange every diagonal of a rank-2 array as a band-matrix column."""
+    """Arrange every diagonal of a rank-2 array as a band-matrix column.
+
+    The bands are one zero fill and one strided write of a per placement
+    region. For m <= n, entry (i, j) sits in row i of the bands, column
+    m-1+j-i, so row i of a, shifted i columns left, is row i of the bands:
+    one sheared write of all of a. A tall a has three regions. Its top n x n
+    block is written the same way, which places the diagonals d >= 0 and
+    puts stray entries where d < 0. The full columns, -(m-n) <= d < 0, then
+    take a[j+s, j] into row j, column m-1-s. The diagonals below them end at
+    the bottom: row i of the bottom block shifted i columns left, written
+    only where j < i.
+    """
     _check_rank2(a, "spdiags_extract")
     m, n = a.dims
-    v = a.view()
-    rows = min(m, n)
-    offsets = tuple(range(-(m - 1), n))
-    bands = np.zeros((len(offsets), rows))  # one row per diagonal: bands.T wraps without a copy
-    for k, d in enumerate(offsets):
-        diag = np.diagonal(v, offset=d)
-        if d >= 0:
-            bands[k, : diag.size] = diag
-        else:
-            bands[k, rows - diag.size:] = diag
-    return DiagBand(bands=wrap_ndarray(bands.T), offsets=offsets)
+    offsets = tuple(range(1 - m, n))
+    rows, k = min(m, n), len(offsets)
+    flat = np.zeros(rows * k)
+    if rows:
+        v = a.view()
+        _sheared(flat, rows, (0, m - 1), (rows, n), _SHIFT_LEFT)[...] = v[:rows]
+        if m > n:
+            _shaped(flat, (n, k))[:, n - 1:m - 1] = _sheared(
+                a.buf, m, (m - n, 0), (n, m - n), ((1, 1), (-1, 0)))
+            np.copyto(_sheared(flat, n, (0, n - 1), (n, n), _SHIFT_LEFT), v[m - n:],
+                      where=np.tri(n, k=-1, dtype=bool))
+    return DiagBand(bands=NumArray((rows, k), flat), offsets=offsets)

@@ -115,6 +115,24 @@ def test_scan_argument_checks():
         linear_scan(magic(4), "fast")
 
 
+def test_scans_leave_their_input_and_share_no_memory():
+    # zigzag writes into its band matrix and boustrophedon into its copy of
+    # m, both in place: the input keeps its bits, and no result is a view of
+    # the input or of an earlier call's result, which keeps its bits too
+    x = np.random.default_rng(62).integers(0, 100, size=(7, 5)).astype(float)
+    x.flat[[3, 11, 20]] = [-0.0, math.nan, -math.inf]
+    a = wrap_ndarray(x)
+    kept = a.view().copy()
+    for scan in (linear_scan, boustrophedon_scan, zigzag_scan):
+        first = scan(a)
+        first_bits = first.view().copy()
+        second = scan(a)
+        assert_bits(a, kept, scan.__name__)
+        assert_bits(first, first_bits, scan.__name__)
+        for p, q in ((first, a), (second, a), (first, second)):
+            assert not np.shares_memory(p.buf, q.buf), scan.__name__
+
+
 # --- pca ---
 
 def test_pca_diagonal_covariance_recovers_axes():
@@ -423,6 +441,25 @@ def test_metrics_are_their_one_line_bodies_bit_for_bit(n, m, d, rows):
             got = metric(x, y)
             assert_bits(got, body(x, y), metric.__name__)
             assert_bits(got, loop(x, y), metric.__name__)
+
+
+def test_metrics_keep_the_first_of_two_nans_in_every_sum():
+    # every row of x holds a NaN of one payload at coordinate 1 and one of
+    # another at coordinate 3, so each of the 12 x 9 sums meets both and
+    # keeps the first, as _ascending's scan does; numpy's reduce across the
+    # 12 lanes would keep the later one in the lanes of its loop's tail (9-12
+    # on an AVX-512 host). Python's += keeps the later one in every sum, so
+    # the loop twin agrees under rule L only.
+    first, later = _SPECIALS[0], _SPECIALS[2]
+    buf = Prng(70).uniform((12, 4)).buf * 8 - 4
+    buf[:12], buf[24:36] = first, later
+    x, y = NumArray((12, 4), buf), Prng(71).uniform((9, 4))
+    with np.errstate(all="ignore"):
+        for metric, body, loop in _ONE_LINE:
+            got = metric(x, y)
+            assert_bits(got, np.full((12, 9), first), metric.__name__)
+            assert_bits(got, body(x, y), metric.__name__)
+            assert_exact(got, loop(x, y), metric.__name__)
 
 
 @pytest.mark.parametrize("a, b", [

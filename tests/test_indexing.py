@@ -250,6 +250,17 @@ def test_assign_growth_keeps_orientation():
     assert grown.dims == (1, 4)
 
 
+def test_assign_returns_a_new_buffer_and_leaves_its_argument():
+    m = magic(4)
+    kept = m.view().copy()
+    even = IndexExpr.of(ALL, span(2, END, 2))
+    for ix, rhs in ((even, flipud(extract(m, even))), (IndexExpr.linear([2, 9]), 0.5),
+                    (IndexExpr.linear(m < 8), -0.0)):
+        got = assign_indexed(m, ix, rhs)
+        assert not np.shares_memory(got.buf, m.buf)
+        assert_bits(m, kept)
+
+
 def test_assign_full_range_scalar():
     m = magic(4)
     z = assign_indexed(m, IndexExpr.of(ALL, ALL), 0)

@@ -1026,10 +1026,12 @@ def test_spdiags_row_vector():
 
 
 def test_spdiags_places_each_diagonal_as_the_loop_does():
-    # square, tall and wide: offset d >= 0 from the top of its column, d < 0
-    # ending at the bottom, zeros elsewhere
+    # square, wide and tall (whose bands have three placement regions):
+    # offset d >= 0 from the top of its column, d < 0 ending at the bottom,
+    # zeros elsewhere; -0.0 and a NaN sit in the two corners
     rng = np.random.default_rng(47)
-    for m, n in ((4, 4), (7, 3), (3, 7), (1, 5), (5, 1), (9, 9)):
+    shapes = [(m, n) for m in range(1, 13) for n in range(1, 13)] + [(512, 512), (40, 7), (7, 40)]
+    for m, n in shapes:
         x = rng.standard_normal((m, n))
         x[0, -1], x[-1, 0] = -0.0, math.nan
         band = spdiags_extract(wrap_ndarray(x))
@@ -1038,9 +1040,17 @@ def test_spdiags_places_each_diagonal_as_the_loop_does():
         for k, d in enumerate(range(-(m - 1), n)):
             cells = [x[i, i + d] for i in range(m) if 0 <= i + d < n]
             top = 0 if d >= 0 else rows - len(cells)
-            for t, v in enumerate(cells):
-                want[top + t, k] = v
-        assert_bits(band.bands, want)
+            want[top:top + len(cells), k] = cells
+        assert band.offsets == tuple(range(-(m - 1), n)), (m, n)
+        assert_bits(band.bands, want, f"{m} x {n}")
+
+
+def test_spdiags_of_empty_shapes():
+    # no diagonal has an entry: the bands have no rows, one column per offset
+    for dims, offsets in (((0, 3), (1, 2)), ((3, 0), (-2, -1)), ((0, 0), ())):
+        band = spdiags_extract(zeros(dims))
+        assert band.offsets == offsets
+        assert band.bands.dims == (0, len(offsets))
 
 
 def test_spdiags_partitions_all_elements():
